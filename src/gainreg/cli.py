@@ -3,8 +3,9 @@
 Subcommands: ``catalog``, ``eval``, ``certify``, ``simulate``, ``fit``,
 ``bench toy``, ``bench rates``.  Exit codes are a stable contract:
 0 success, 1 usage error, 2 runtime or precision failure, 3 certification
-failure.  Every run with a seed is deterministic down to output bytes;
-floats are written with shortest round-trip formatting.  A JSON config file
+failure.  Every run with a seed is deterministic down to output bytes on
+one BLAS configuration (library, version, thread count); floats are written
+with shortest round-trip formatting.  A JSON config file
 may mirror any long flag; explicit flags win.
 """
 
@@ -13,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from pathlib import Path
 from typing import Optional, Sequence
@@ -99,12 +101,31 @@ def dataset_to_csv(data: Dataset, path: str) -> None:
 
 
 def dataset_from_csv(path: str) -> Dataset:
-    with open(path, "r", encoding="utf-8", newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader)
-        if not header or header[-1] != "y":
-            raise InvalidInputError(f"{path}: expected header x_0,...,y")
-        rows = [[float(v) for v in row] for row in reader if row]
+    """Read a data CSV; malformed content is invalid input, never a traceback."""
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as handle:
+            reader = csv.reader(handle)
+            header = next(reader, None)
+            if not header or header[-1] != "y":
+                raise InvalidInputError(f"{path}: expected header x_0,...,y")
+            rows = []
+            for row in reader:
+                if not row:
+                    continue
+                line = reader.line_num
+                if len(row) != len(header):
+                    raise InvalidInputError(
+                        f"{path}:{line}: {len(row)} cells, the header has {len(header)}"
+                    )
+                try:
+                    values = [float(v) for v in row]
+                except ValueError:
+                    raise InvalidInputError(f"{path}:{line}: non-numeric cell") from None
+                if not all(math.isfinite(v) for v in values):
+                    raise InvalidInputError(f"{path}:{line}: non-finite value")
+                rows.append(values)
+    except (csv.Error, UnicodeDecodeError) as exc:
+        raise InvalidInputError(f"{path}: not a readable CSV ({exc})") from None
     if not rows:
         raise InvalidInputError(f"{path}: no data rows")
     arr = np.asarray(rows, dtype=float)
@@ -332,6 +353,7 @@ def cmd_fit(args) -> int:
     print(f"empirical_gain {_fmt(report.empirical_gain)}")
     print(f"iterations {report.iterations}")
     print(f"converged {report.converged}")
+    print(f"rank {report.rank}/{report.model.feature_map.feature_count}")
     if cv_table is not None:
         for s, g in cv_table:
             print(f"cv sigma={_fmt(s)} heldout_gain={_fmt(g)}")
@@ -551,8 +573,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # Apply config-file defaults before the real parse; flags override.
         if "--config" in argv:
             idx = argv.index("--config")
+            if idx + 1 == len(argv):
+                raise UsageError("--config needs a path")
             config_path = argv[idx + 1]
-            defaults = json.loads(Path(config_path).read_text(encoding="utf-8"))
+            try:
+                defaults = json.loads(Path(config_path).read_text(encoding="utf-8"))
+            except ValueError as exc:  # malformed JSON or undecodable bytes
+                raise UsageError(f"{config_path}: not a JSON file ({exc})") from None
+            if not isinstance(defaults, dict):
+                raise UsageError(f"{config_path}: expected a JSON object of flag values")
             dests = {k.replace("-", "_"): v for k, v in defaults.items()}
             for sub in _iter_subparsers(parser):
                 sub.set_defaults(**{k: v for k, v in dests.items() if _has_dest(sub, k)})

@@ -85,6 +85,7 @@ class FitReport:
     restart_gains: tuple[float, ...]
     converged: bool
     method: str
+    rank: int  # dimension of the basis the fit ran in: p unless directions were dropped
     clip_at_eval: bool = False
 
 
@@ -120,13 +121,15 @@ def _mean_gain(spec: GainSpec, sigma: float, residuals: np.ndarray) -> float:
 
 
 def _weighted_solve(
-    X: np.ndarray, y: np.ndarray, w: np.ndarray, ridge: Optional[float]
+    X: np.ndarray, y: np.ndarray, w: np.ndarray, ridge: Optional[float], features: int
 ) -> np.ndarray:
+    """Weighted ridge normal equations; the auto ridge divides by ``features``, the
+    feature count of the original map, so a fit in a reduced basis keeps its ridge."""
     p = X.shape[1]
     Xw = X * w[:, None]
     A = X.T @ Xw
-    lam = 1e-8 * float(np.trace(A)) / p if ridge is None else float(ridge)
-    A = A + lam * np.eye(p)
+    lam = 1e-8 * float(np.trace(A)) / features if ridge is None else float(ridge)
+    A.flat[:: p + 1] += lam
     b = Xw.T @ y
     try:
         coeffs = np.linalg.solve(A, b)
@@ -141,8 +144,21 @@ def _weighted_solve(
     return coeffs
 
 
-def _ols(X: np.ndarray, y: np.ndarray, ridge: Optional[float]) -> np.ndarray:
-    return _weighted_solve(X, y, np.ones(len(y)), ridge)
+def _ols(X: np.ndarray, y: np.ndarray, ridge: Optional[float], features: int) -> np.ndarray:
+    return _weighted_solve(X, y, np.ones(len(y)), ridge, features)
+
+
+def _rank_basis(X: np.ndarray) -> Optional[np.ndarray]:
+    """Orthonormal basis (p, r) of X's row space above the matrix-rank tolerance.
+
+    Singular values at or below s_max * max(n, p) * eps (``np.linalg.matrix_rank``'s
+    default) are rounding noise: on kernel dictionaries their directions carry
+    eigenvalues of X'X some 13 orders of magnitude below the auto ridge, so
+    dropping them moves no fit.  None when nothing is dropped.
+    """
+    _, s, vt = np.linalg.svd(X, full_matrices=False)
+    r = int(np.sum(s > s[0] * max(X.shape) * np.finfo(float).eps))
+    return vt[:r].T if 0 < r < X.shape[1] else None
 
 
 def _irls_stage(
@@ -153,16 +169,17 @@ def _irls_stage(
     sigma: float,
     cfg: SolverConfig,
     record: Optional[list[float]],
+    features: int,
 ) -> tuple[np.ndarray, int, bool]:
     """Reweighted least squares at a fixed scale; returns (coeffs, iters, converged)."""
-    gain = _mean_gain(spec, sigma, y - X @ coeffs)
+    residuals = y - X @ coeffs
+    gain = _mean_gain(spec, sigma, residuals)
     if record is not None:
         record.append(gain)
     converged = False
     iters = 0
     for _ in range(cfg.max_iters):
         iters += 1
-        residuals = y - X @ coeffs
         w = np.asarray(irls_weight(spec, sigma, residuals), dtype=float)
         top = w.max()
         if not (top > 0.0):
@@ -174,8 +191,9 @@ def _irls_stage(
             # Auto ridge adapts to the normalized system, so rescaling the
             # weights guards against underflow without changing the problem.
             w = w / top
-        coeffs = _weighted_solve(X, y, w, cfg.ridge)
-        new_gain = _mean_gain(spec, sigma, y - X @ coeffs)
+        coeffs = _weighted_solve(X, y, w, cfg.ridge, features)
+        residuals = y - X @ coeffs
+        new_gain = _mean_gain(spec, sigma, residuals)
         if record is not None:
             record.append(new_gain)
         if abs(new_gain - gain) <= cfg.tol * max(1.0, abs(gain)):
@@ -194,8 +212,12 @@ def _gradient_stage(
     sigma: float,
     cfg: SolverConfig,
     record: Optional[list[float]],
+    features: int,
 ) -> tuple[np.ndarray, int, bool]:
-    """Backtracking ascent; accepted steps never decrease the gain."""
+    """Backtracking ascent; accepted steps never decrease the gain.
+
+    ``features`` matches the reweighting stage's signature; a gradient step has no ridge.
+    """
     gain = _mean_gain(spec, sigma, y - X @ coeffs)
     if record is not None:
         record.append(gain)
@@ -277,7 +299,7 @@ def _grid_consensus(
 ) -> tuple[np.ndarray, int]:
     """Seeded box search plus coordinate refinement for the box gain."""
     try:
-        anchor = _ols(X, y, cfg.ridge)
+        anchor = _ols(X, y, cfg.ridge, X.shape[1])
     except SingularSystemError:
         anchor = np.zeros(X.shape[1])
     rng = generator(cfg.seed, "consensus")
@@ -350,6 +372,9 @@ def fit_egm(
         cfg = default_config(spec)
     _validate_method(spec, cfg.method)
 
+    if not (np.all(np.isfinite(data.inputs)) and np.all(np.isfinite(data.outputs))):
+        raise InvalidInputError("inputs and outputs must be finite")
+
     X = design_matrix(fmap, data.inputs)
     y = data.outputs
     p = X.shape[1]
@@ -376,18 +401,26 @@ def fit_egm(
             converged=True,
             method=cfg.method,
             clip_at_eval=clip,
+            rank=p,
         )
 
     stage_fn = _irls_stage if cfg.method == IRLS else _gradient_stage
+    # Without a ridge a rank-deficient system must stay singular, so the
+    # full basis is kept; with one, the fit runs in Z = X V and maps back.
+    basis = None if ridge_off else _rank_basis(X)
+    Z = X if basis is None else X @ basis
     if init_coefficients is not None:
         anchor = np.asarray(init_coefficients, dtype=float).ravel()
         if anchor.shape[0] != p:
             raise InvalidParameterError(
                 f"{anchor.shape[0]} warm-start coefficients for {p} features"
             )
+        anchor_norm = float(np.linalg.norm(anchor))
+        if basis is not None:
+            anchor = basis.T @ anchor
     else:
-        anchor = _ols(X, y, cfg.ridge)
-    anchor_norm = float(np.linalg.norm(anchor))
+        anchor = _ols(Z, y, cfg.ridge, p)
+        anchor_norm = float(np.linalg.norm(anchor if basis is None else basis @ anchor))
 
     best: Optional[tuple[float, np.ndarray, list[float], int, bool]] = None
     restart_gains: list[float] = []
@@ -396,16 +429,18 @@ def fit_egm(
         if r == 0:
             coeffs = anchor.copy()
         else:
+            # Drawn in the p feature dimensions, so the streams match at any rank.
             noise = generator(cfg.seed, "restart", r).standard_normal(p)
             scale = 0.5 * (anchor_norm if anchor_norm > 0 else 1.0)
-            coeffs = anchor + scale * noise / max(np.linalg.norm(noise), 1e-300)
+            step = scale * noise / max(np.linalg.norm(noise), 1e-300)
+            coeffs = anchor + (step if basis is None else basis.T @ step)
         try:
             iters = 0
             for stage_sigma in stages:
-                coeffs, it, _ = stage_fn(X, y, coeffs, spec, stage_sigma, cfg, None)
+                coeffs, it, _ = stage_fn(Z, y, coeffs, spec, stage_sigma, cfg, None, p)
                 iters += it
             trace: list[float] = []
-            coeffs, it, converged = stage_fn(X, y, coeffs, spec, sigma, cfg, trace)
+            coeffs, it, converged = stage_fn(Z, y, coeffs, spec, sigma, cfg, trace, p)
             iters += it
         except DegenerateIterateError as exc:
             # A wild restart can leave every residual outside the support;
@@ -413,7 +448,7 @@ def fit_egm(
             degenerate = exc
             restart_gains.append(-math.inf)
             continue
-        gain = _mean_gain(spec, sigma, y - X @ coeffs)
+        gain = _mean_gain(spec, sigma, y - Z @ coeffs)
         restart_gains.append(gain)
         if best is None or gain > best[0]:
             best = (gain, coeffs, trace, iters, converged)
@@ -423,6 +458,8 @@ def fit_egm(
             "no restart produced a usable iterate"
         )
     gain, coeffs, trace, iters, converged = best
+    if basis is not None:
+        coeffs = basis @ coeffs
     model = HypothesisModel(feature_map=fmap, coefficients=coeffs, M=bound, clip=clip)
     return FitReport(
         model=model,
@@ -434,6 +471,7 @@ def fit_egm(
         converged=converged,
         method=cfg.method,
         clip_at_eval=clip,
+        rank=Z.shape[1],
     )
 
 

@@ -1,8 +1,13 @@
 """CLI surfaces: formats, determinism, exit codes, config files."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
+import pytest
 
 import gainreg as gr
 from gainreg.cli import main
@@ -10,6 +15,17 @@ from gainreg.cli import main
 
 def run(*argv) -> int:
     return main(list(argv))
+
+
+def run_process(*argv, cwd) -> subprocess.CompletedProcess:
+    """The CLI in a fresh interpreter, so an escaping exception shows as a traceback."""
+    src = str(Path(gr.__file__).resolve().parent.parent)
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src if not path else src + os.pathsep + path)
+    return subprocess.run(
+        [sys.executable, "-m", "gainreg.cli", *argv],
+        capture_output=True, text=True, cwd=cwd, env=env, timeout=120,
+    )
 
 
 def test_catalog_lists_all_gains(capsys):
@@ -171,3 +187,31 @@ def test_config_file_defaults_and_override(tmp_path, capsys):
     # Explicit flag beats the config value.
     assert run("--config", str(cfg), "eval", "--gain", "epanechnikov", "--t", "0") == 0
     assert capsys.readouterr().out.strip() == "gain 1.0"
+
+
+@pytest.mark.parametrize("body", [
+    "x_0,y\n0.5,1\n0.25\n",
+    "x_0,y\n0.5,1,2\n",
+    "x_0,y\n0.5,abc\n",
+    "x_0,y\n0.5,nan\n0.25,1\n",
+    "x_0,y\ninf,1\n0.25,1\n",
+    "",
+], ids=["ragged", "long-row", "non-numeric", "nan-output", "inf-input", "empty"])
+def test_malformed_data_csv_is_invalid_input(tmp_path, body):
+    (tmp_path / "d.csv").write_text(body)
+    proc = run_process("fit", "--data", "d.csv", "--gain", "gaussian", "--sigma", "1",
+                       cwd=tmp_path)
+    assert proc.returncode == 1, proc.stderr
+    assert "invalid request" in proc.stderr and "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("config", [None, "{\"sigma\": ", "[1, 2]"],
+                         ids=["missing-path", "malformed-json", "not-an-object"])
+def test_config_errors_are_usage_errors(tmp_path, config):
+    argv = ["catalog", "--config"]
+    if config is not None:
+        (tmp_path / "cfg.json").write_text(config)
+        argv = ["--config", "cfg.json", "catalog"]
+    proc = run_process(*argv, cwd=tmp_path)
+    assert proc.returncode == 1, proc.stderr
+    assert "usage error" in proc.stderr and "Traceback" not in proc.stderr

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 import gainreg as gr
+from gainreg import solver
+from gainreg.cli import main
 from gainreg.errors import (
     DegenerateIterateError,
     InvalidInputError,
@@ -305,3 +307,88 @@ def test_fit_report_fields(cat):
     assert report.clip_at_eval is True
     assert len(report.restart_gains) == 3
     assert report.iterations >= 1
+
+
+def test_fit_rejects_non_finite_data(cat):
+    x = np.linspace(0.0, 1.0, 20)
+    for bad_x, bad_y in ((np.nan, 0.0), (np.inf, 0.0), (0.0, np.nan), (0.0, -np.inf)):
+        inputs, outputs = x.copy(), np.sin(x)
+        inputs[3] += bad_x
+        outputs[7] += bad_y
+        data = gr.Dataset(inputs=inputs[:, None], outputs=outputs)
+        with pytest.raises(InvalidInputError, match="finite"):
+            gr.fit_egm(data, cat["gaussian"], 1.0, gr.linear_map(1))
+
+
+def test_full_rank_fit_reports_full_rank(cat):
+    data = linear_data(seed=96)
+    for cfg in (gr.SolverConfig(method="irls"), gr.SolverConfig(method="gradient")):
+        report = gr.fit_egm(data, cat["cauchy"], 2.0, gr.linear_map(1), cfg)
+        assert report.rank == 2
+
+
+def kernel_data(n=160, seed=0):
+    rng = np.random.default_rng(seed)
+    x = rng.random(n)
+    y = np.sin(2.0 * np.pi * x) + 0.3 * rng.standard_normal(n)
+    return gr.Dataset(inputs=x[:, None], outputs=y)
+
+
+def test_rank_basis_matches_full_basis_solves(cat):
+    # A wide kernel dictionary is numerically low-rank; the fit runs in its
+    # rank basis and must reproduce the full-basis ridge solves.
+    data = kernel_data()
+    fmap = gr.kernel_map(data.inputs, 1.0)
+    X = gr.design_matrix(fmap, data.inputs)
+    y = data.outputs
+    p = X.shape[1]
+    spec, sigma = cat["gaussian"], 0.5
+
+    def rel(a, b):
+        return np.linalg.norm(a - b) / np.linalg.norm(b)
+
+    anchor = solver._weighted_solve(X, y, np.ones(data.n), None, p)
+    w = np.asarray(gr.irls_weight(spec, sigma, y - X @ anchor))
+    one_step = solver._weighted_solve(X, y, w / w.max(), None, p)
+
+    basis = solver._rank_basis(X)
+    assert basis is not None and basis.shape[1] < p
+    anchor_in_basis = basis @ solver._ols(X @ basis, y, None, p)
+    assert rel(X @ anchor_in_basis, X @ anchor) <= 1e-8
+
+    cfg = gr.SolverConfig(method="irls", max_iters=1)
+    report = gr.fit_egm(data, spec, sigma, fmap, cfg)
+    assert report.rank == basis.shape[1]
+    assert rel(X @ report.model.coefficients, X @ one_step) <= 1e-8
+
+
+def test_kernel_fit_save_load_warm_start(tmp_path, capsys, cat):
+    # The saved coefficients lie in the rank basis, so a warm start from them
+    # begins exactly at the saved model and stays at its optimum.
+    path = tmp_path / "toy.csv"
+    first, second = tmp_path / "m1.json", tmp_path / "m2.json"
+    assert main(["simulate", "--model", "toy", "--n", "80", "--seed", "4",
+                 "--out", str(path)]) == 0
+    fit = ["fit", "--data", str(path), "--gain", "gaussian", "--sigma", "1"]
+    assert main(fit + ["--features", "kernel", "--bandwidth", "0.5",
+                       "--save", str(first)]) == 0
+    cold = capsys.readouterr().out.splitlines()
+    rank = int(cold[-1].split()[1].split("/")[0])
+    assert cold[-1] == f"rank {rank}/80" and rank < 80
+    assert main(fit + ["--load", str(first), "--save", str(second)]) == 0
+    warm = capsys.readouterr().out.splitlines()
+    assert warm[2] == "iterations 1" and warm[-1] == cold[-1]
+    assert float(warm[1].split()[1]) >= float(cold[1].split()[1])
+
+    m1 = gr.model_from_json(first.read_text())
+    m2 = gr.model_from_json(second.read_text())
+    assert m2.feature_map.bandwidth == 0.5
+    assert np.array_equal(m2.feature_map.centers, m1.feature_map.centers)
+    data = gr.simulate.gen_toy(80, 4)
+    assert np.allclose(gr.predict_batch(m2, data.inputs), gr.predict_batch(m1, data.inputs),
+                       atol=1e-5)
+    report = gr.fit_egm(data, cat["gaussian"], 1.0, m1.feature_map,
+                        gr.SolverConfig(max_iters=1), init_coefficients=m1.coefficients)
+    assert report.gain_trace[0] == pytest.approx(
+        gr.empirical_gain(m1, data, cat["gaussian"], 1.0), rel=1e-12
+    )
