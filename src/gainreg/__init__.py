@@ -46,6 +46,7 @@ from .features import (
     model_from_json,
     model_to_json,
     predict,
+    predict_batch,
     subsample_centers,
 )
 from .gains import (
@@ -79,7 +80,6 @@ from .solver import (
     empirical_gain,
     fit_egm,
     gain_gradient,
-    predict_batch,
     schedule_exponent,
     sigma_schedule,
 )

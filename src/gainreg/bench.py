@@ -19,12 +19,13 @@ import numpy as np
 from .errors import InvalidParameterError
 from .features import kernel_map, linear_map, subsample_centers
 from .gains import GainSpec, catalog
-from .rng import generator
+from .rng import derive_key, generator
 from .simulate import Dataset, NoiseSpec, gen_location, gen_toy, toy_references, truth_function
 from .solver import (
+    FitReport,
     SolverConfig,
-    empirical_gain,
     fit_egm,
+    kfold_select,
     predict_batch,
     schedule_exponent,
     sigma_schedule,
@@ -37,6 +38,8 @@ MC_POINTS = 10_000
 
 def anneal_ladder(sigma: float, start: float = ANNEAL_START) -> tuple[float, ...]:
     """Halving chain of scales from ``start`` down to (but above) ``sigma``."""
+    if not sigma > 0:  # the halving chain would never end
+        raise InvalidParameterError(f"sigma must be positive, got {sigma}")
     stages = []
     s = start
     while s > sigma:
@@ -67,27 +70,14 @@ def cross_validate_bandwidth(
     center_cap: int = 500,
 ) -> tuple[float, list[tuple[float, float]]]:
     """Mean held-out gain per kernel bandwidth; ties go to the larger one."""
-    order = generator(seed, "bw-shuffle").permutation(train.n)
-    parts = [order[k::folds] for k in range(folds)]
-    all_idx = np.arange(train.n)
-    table: list[tuple[float, float]] = []
     cfg = toy_solver_config(sigma, seed)
-    for bw in bandwidth_grid:
-        scores = []
-        for k in range(folds):
-            held = parts[k]
-            keep = np.setdiff1d(all_idx, held)
-            sub = Dataset(inputs=train.inputs[keep], outputs=train.outputs[keep])
-            fmap = kernel_map(subsample_centers(sub.inputs, center_cap, seed), bw)
-            report = fit_egm(sub, spec, sigma, fmap, cfg)
-            held_ds = Dataset(inputs=train.inputs[held], outputs=train.outputs[held])
-            scores.append(empirical_gain(report.model, held_ds, spec, sigma))
-        table.append((float(bw), float(np.mean(scores))))
-    best_bw, best_score = table[0]
-    for bw, score in table[1:]:
-        if score > best_score or (score == best_score and bw >= best_bw):
-            best_bw, best_score = bw, score
-    return best_bw, table
+
+    def fit(sub: Dataset, bw: float) -> FitReport:
+        fmap = kernel_map(subsample_centers(sub.inputs, center_cap, seed), bw)
+        return fit_egm(sub, spec, sigma, fmap, cfg)
+
+    grid = [float(bw) for bw in bandwidth_grid]
+    return kfold_select(train, spec, grid, fit, folds, seed, "bw-shuffle")
 
 
 @dataclass(frozen=True)
@@ -184,6 +174,8 @@ def bench_rates(
     ns = [int(n) for n in n_list]
     if len(ns) > 1 and any(b <= a for a, b in zip(ns, ns[1:])):
         raise InvalidParameterError("n_list must be strictly increasing")
+    if reps < 1:
+        raise InvalidParameterError(f"reps must be positive, got {reps}")
     spec = catalog()[gain_name]
     truth_fn, truth_label = truth_function(truth)
     cells: list[RateCell] = []
@@ -223,6 +215,4 @@ def bench_rates(
 
 def derive_cell_seed(seed: int, n: int, rep: int) -> int:
     # Stable per-cell seed so cells are independent of execution order.
-    from .rng import derive_key
-
     return derive_key(seed, "rates-cell", n, rep) % (2**63)

@@ -25,7 +25,7 @@ from .errors import (
     UnsupportedOperationError,
 )
 from .gains import GainSpec, eval_gain
-from .quadrature import QuadratureConfig, integrate, integrate_checked
+from .quadrature import QuadratureConfig, integrate, integrate_checked, nodes_weights
 
 DENSITY_NORM_TOL = 1e-8
 DECLARED_HEADROOM = 1.01  # estimates must stay within declared * this factor
@@ -318,22 +318,14 @@ def mde_distance(prob: LocationProblem, quad: QuadratureConfig) -> float:
 
 
 def gain_mass(spec: GainSpec, sigma: float, quad: QuadratureConfig) -> float:
-    """Total mass of the gain, analytic for the heavy-tailed catalog entries.
+    """Total mass of the gain: its closed-form Fourier transform at xi = 0, if any.
 
-    Compact supports are integrated exactly over the support; the slowly
-    decaying Cauchy tail would otherwise leave a percent-level truncation
-    bias in the norming constant.
+    Otherwise quadrature, exact over a compact support; a slowly decaying
+    tail such as Cauchy's would leave a percent-level truncation bias in the
+    norming constant, which is why the heavy-tailed entries carry closed forms.
     """
-    if spec.name == "gaussian":
-        return sigma * math.sqrt(2.0 * math.pi)
-    if spec.name == "cauchy":
-        return math.pi * sigma
-    if spec.name == "laplace":
-        return 2.0 * sigma
-    if spec.mixture_components is not None:
-        return sigma * math.sqrt(math.pi) * sum(
-            w * s for w, s in spec.mixture_components
-        )
+    if spec.fourier is not None:
+        return float(spec.fourier(sigma, np.zeros(())))
 
     def p(t: np.ndarray) -> np.ndarray:
         return eval_gain(spec, sigma, t)
@@ -348,30 +340,17 @@ def fourier_transform(
 ) -> np.ndarray:
     """Real Fourier transform ``int p_sigma(t) cos(xi t) dt`` of the even gain.
 
-    Closed forms cover the unbounded-support catalog entries (Gaussian,
-    Cauchy, Laplace, squared-exponential mixtures); compact gains use direct
-    cosine quadrature over their exact support.  Other unbounded gains are
-    truncated at ``truncation_mult * sigma`` with 2^14 nodes.
+    The spec's closed form when it has one; otherwise direct cosine quadrature
+    over the exact support of a compact gain, or over ``truncation_mult * sigma``
+    with 2^14 nodes for an unbounded one.
     """
     xi = np.asarray(xi, dtype=float)
-    if spec.name == "gaussian":
-        return sigma * math.sqrt(2.0 * math.pi) * np.exp(-0.5 * (sigma * xi) ** 2)
-    if spec.name == "cauchy":
-        return math.pi * sigma * np.exp(-sigma * np.abs(xi))
-    if spec.name == "laplace":
-        return 2.0 * sigma / (1.0 + (sigma * xi) ** 2)
-    if spec.mixture_components is not None:
-        out = np.zeros_like(xi, dtype=float)
-        for w, s in spec.mixture_components:
-            out += w * s * sigma * math.sqrt(math.pi) * np.exp(-0.25 * (s * sigma * xi) ** 2)
-        return out
+    if spec.fourier is not None:
+        return spec.fourier(sigma, xi)
 
     radius = spec.support_radius
     t_max = radius * sigma if math.isfinite(radius) else truncation_mult * sigma
-    cfg = QuadratureConfig(half_width=max(truncation_mult, 10.0), nodes=2**14)
-    from .quadrature import _nodes_weights  # panel machinery shared with integrate
-
-    t, w = _nodes_weights(-t_max, t_max, cfg.nodes, cfg.rule, [0.0])
+    t, w = nodes_weights(-t_max, t_max, 2**14, [0.0])
     pw = eval_gain(spec, sigma, t) * w
     chunk = 256
     flat = xi.ravel()

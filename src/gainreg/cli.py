@@ -43,10 +43,11 @@ from .features import (
 )
 from .gains import catalog, eval_gain, eval_gain_derivative, loss_from_gain
 from .quadrature import QuadratureConfig
-from .simulate import Dataset, NoiseSpec, gen_location, gen_toy
+from .simulate import Dataset, NoiseSpec, gen_location, gen_toy, toy_noise_spec
 from .solver import (
     SolverConfig,
     cross_validate_sigma,
+    default_config,
     fit_egm,
     predict_batch,
     sigma_schedule,
@@ -136,45 +137,60 @@ def parse_noise(text: str) -> NoiseSpec:
     """Noise from a shorthand (normal:mu:sd, student_t:nu, pareto:a, toy) or JSON."""
     text = text.strip()
     if text.startswith("{"):
-        return noise_from_dict(json.loads(text))
-    parts = text.split(":")
-    kind = parts[0]
+        try:
+            payload = json.loads(text)
+        except ValueError as exc:
+            raise UsageError(f"--noise: malformed JSON ({exc})") from None
+        return noise_from_dict(payload)
+    kind, *params = text.split(":")
+    values = [_number(p, "--noise") for p in params]
     if kind == "toy":
-        from .simulate import toy_noise_spec
-
         return toy_noise_spec()
     if kind == "normal":
-        mu = float(parts[1]) if len(parts) > 1 else 0.0
-        sd = float(parts[2]) if len(parts) > 2 else 1.0
+        mu = values[0] if len(values) > 0 else 0.0
+        sd = values[1] if len(values) > 1 else 1.0
         return NoiseSpec.gaussian(mu, sd)
-    if kind == "student_t":
-        return NoiseSpec.student_t(float(parts[1]))
-    if kind == "pareto":
-        return NoiseSpec.symmetric_pareto(float(parts[1]))
-    raise InvalidParameterError(f"unknown noise shorthand {text!r}")
+    if kind == "student_t" and len(values) == 1:
+        return NoiseSpec.student_t(values[0])
+    if kind == "pareto" and len(values) == 1:
+        return NoiseSpec.symmetric_pareto(values[0])
+    raise InvalidParameterError(
+        f"noise shorthand {text!r} is none of normal:mu:sd, student_t:nu, pareto:a, toy"
+    )
 
 
 def noise_from_dict(payload: dict) -> NoiseSpec:
-    family = payload["family"]
-    if family == "gaussian_mixture":
-        return NoiseSpec.gaussian_mixture([tuple(c) for c in payload["mixture"]])
-    if family == "student_t":
-        return NoiseSpec.student_t(payload["df"])
-    if family == "symmetric_pareto":
-        return NoiseSpec.symmetric_pareto(payload["tail_index"])
-    if family == "contaminated":
-        return NoiseSpec.contaminated(
-            noise_from_dict(payload["base"]), payload["rate"], payload["outlier_values"]
-        )
+    """Noise from its JSON form; a missing or mistyped field is a usage error."""
+    try:
+        family = payload["family"]
+        if family == "gaussian_mixture":
+            return NoiseSpec.gaussian_mixture([tuple(c) for c in payload["mixture"]])
+        if family == "student_t":
+            return NoiseSpec.student_t(payload["df"])
+        if family == "symmetric_pareto":
+            return NoiseSpec.symmetric_pareto(payload["tail_index"])
+        if family == "contaminated":
+            return NoiseSpec.contaminated(
+                noise_from_dict(payload["base"]), payload["rate"], payload["outlier_values"]
+            )
+    except KeyError as exc:
+        raise UsageError(f"--noise: the JSON has no {exc} field") from None
+    except (TypeError, ValueError) as exc:
+        raise UsageError(f"--noise: malformed JSON field ({exc})") from None
     raise InvalidParameterError(f"unknown noise family {family!r}")
 
 
-def _float_list(text: str) -> list[float]:
-    return [float(v) for v in str(text).split(",") if v != ""]
+def _number(text: str, flag: str, kind=float):
+    try:
+        return kind(text)
+    except ValueError:
+        what = "an integer" if kind is int else "a number"
+        raise UsageError(f"{flag}: {text!r} is not {what}") from None
 
 
-def _int_list(text: str) -> list[int]:
-    return [int(v) for v in str(text).split(",") if v != ""]
+def _numbers(text: str, flag: str, kind=float) -> list:
+    """A comma list of numbers; an entry that is not one is a usage error."""
+    return [_number(v, flag, kind) for v in str(text).split(",") if v != ""]
 
 
 # --- subcommand implementations -----------------------------------------
@@ -307,7 +323,7 @@ def _resolve_sigma(args, data, spec, fmap, cfg) -> tuple[float, Optional[list]]:
         if args.epsilon is None or args.q is None:
             raise UsageError("--schedule needs --epsilon and --q")
         return sigma_schedule(args.schedule, args.epsilon, args.q, data.n), None
-    grid = _float_list(args.cv_sigma)
+    grid = _numbers(args.cv_sigma, "--cv-sigma")
     best, table = cross_validate_sigma(data, spec, grid, fmap, cfg, args.folds, args.seed)
     return best, table
 
@@ -330,21 +346,18 @@ def cmd_fit(args) -> int:
             raise UsageError("kernel features need --bandwidth")
         centers = subsample_centers(data.inputs, args.centers_cap, args.seed)
         fmap = kernel_map(centers, args.bandwidth)
-    method = args.method or ("grid_consensus" if args.gain == "uniform" else None)
     cfg_kwargs = dict(
         max_iters=args.max_iters,
         tol=args.tol,
         ridge=args.ridge,
         restarts=args.restarts,
         seed=args.seed,
-        anneal=tuple(_float_list(args.anneal)) if args.anneal else (),
+        anneal=tuple(_numbers(args.anneal, "--anneal")) if args.anneal else (),
     )
-    if method is None:
-        from .solver import default_config
-
-        cfg = default_config(spec, **cfg_kwargs)
+    if args.method:
+        cfg = SolverConfig(method=args.method, **cfg_kwargs)
     else:
-        cfg = SolverConfig(method=method, **cfg_kwargs)
+        cfg = default_config(spec, **cfg_kwargs)
     sigma, cv_table = _resolve_sigma(args, data, spec, fmap, cfg)
     report = fit_egm(
         data, spec, sigma, fmap, cfg, M=args.M, clip=args.clip, init_coefficients=warm
@@ -379,7 +392,7 @@ def cmd_predict(args) -> int:
 
 
 def cmd_bench_toy(args) -> int:
-    sigmas = _float_list(args.sigmas)
+    sigmas = _numbers(args.sigmas, "--sigmas")
     results = bench_toy(
         args.n_train, args.n_test, sigmas, args.seed, folds=args.folds, restarts=args.restarts
     )
@@ -415,13 +428,14 @@ def cmd_bench_toy(args) -> int:
 
 def cmd_bench_rates(args) -> int:
     noise = parse_noise(args.noise)
+    n_list = _numbers(args.n_list, "--n-list", int)
     cells, slope = bench_rates(
         args.gain,
         noise,
         args.epsilon,
         args.q,
         args.schedule,
-        _int_list(args.n_list),
+        n_list,
         args.reps,
         args.seed,
         truth=args.truth,
@@ -444,7 +458,7 @@ def cmd_bench_rates(args) -> int:
                 "epsilon": args.epsilon,
                 "q": args.q,
                 "schedule": args.schedule,
-                "n_list": _int_list(args.n_list),
+                "n_list": n_list,
                 "reps": args.reps,
                 "seed": args.seed,
                 "truth": args.truth,

@@ -128,12 +128,18 @@ def design_matrix(fmap: FeatureMap, inputs: np.ndarray) -> np.ndarray:
     return np.exp(-np.maximum(sq, 0.0) / (2.0 * fmap.bandwidth**2))
 
 
+def predict_batch(model: HypothesisModel, inputs: np.ndarray) -> np.ndarray:
+    """Model outputs for a batch of inputs, one row per point."""
+    values = design_matrix(model.feature_map, inputs) @ model.coefficients
+    if model.clip:
+        values = np.clip(values, -model.M, model.M)
+    return values
+
+
 def predict(model: HypothesisModel, x: np.ndarray) -> float | np.ndarray:
     """Model output at one point (1-d input) or a batch (2-d input)."""
     arr, single = _check_inputs(model.feature_map, np.asarray(x, dtype=float))
-    values = design_matrix(model.feature_map, arr) @ model.coefficients
-    if model.clip:
-        values = np.clip(values, -model.M, model.M)
+    values = predict_batch(model, arr)
     return float(values[0]) if single else values
 
 
@@ -153,14 +159,20 @@ def model_to_json(model: HypothesisModel) -> str:
 
 
 def model_from_json(text: str) -> HypothesisModel:
-    payload = json.loads(text)
-    if payload["kind"] == KERNEL:
-        fmap = kernel_map(np.asarray(payload["centers"], dtype=float), payload["bandwidth"])
-    else:
-        fmap = linear_map(payload["input_dim"])
-    return HypothesisModel(
-        feature_map=fmap,
-        coefficients=np.asarray(payload["coefficients"], dtype=float),
-        M=payload["M"],
-        clip=payload["clip"],
-    )
+    """Parse a saved model; a malformed or incomplete file is invalid input."""
+    try:
+        payload = json.loads(text)
+        if payload["kind"] == KERNEL:
+            fmap = kernel_map(np.asarray(payload["centers"], dtype=float), payload["bandwidth"])
+        else:
+            fmap = linear_map(payload["input_dim"])
+        return HypothesisModel(
+            feature_map=fmap,
+            coefficients=np.asarray(payload["coefficients"], dtype=float),
+            M=payload["M"],
+            clip=payload["clip"],
+        )
+    except KeyError as exc:
+        raise InvalidInputError(f"saved model has no {exc} field") from None
+    except (TypeError, ValueError) as exc:
+        raise InvalidInputError(f"not a saved model ({exc})") from None

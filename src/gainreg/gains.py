@@ -54,7 +54,11 @@ class GainConstants:
 
 @dataclass(frozen=True)
 class GainSpec:
-    """One gain function with its derivatives and classification metadata."""
+    """One gain function with its derivatives and classification metadata.
+
+    ``fourier(sigma, xi)`` is the closed-form transform int p_sigma(t) cos(xi t) dt
+    where one is known.  A gain without ``generating_deriv`` is a piecewise-constant box.
+    """
 
     name: str
     generating_fn: ArrayFn
@@ -73,7 +77,7 @@ class GainSpec:
     loss_name: str
     loss_formula: str
     sigma_normalized: bool = False
-    mixture_components: Optional[tuple[tuple[float, float], ...]] = None
+    fourier: Optional[Callable[[float, np.ndarray], np.ndarray]] = None
 
     def __post_init__(self) -> None:
         if self.calibration not in ("none", "strong", "exact"):
@@ -350,6 +354,7 @@ def _cauchy() -> GainSpec:
         formula="s^2 / (s^2 + t^2)",
         loss_name="Geman-McClure loss",
         loss_formula="t^2 / (s^2 + t^2)",
+        fourier=lambda sigma, xi: math.pi * sigma * np.exp(-sigma * np.abs(xi)),
     )
 
 
@@ -386,6 +391,9 @@ def _gaussian() -> GainSpec:
         formula="exp(-t^2 / (2 s^2))",
         loss_name="exponential squared loss",
         loss_formula="s^2 * (1 - exp(-t^2 / (2 s^2)))",
+        fourier=lambda sigma, xi: (
+            sigma * math.sqrt(2.0 * math.pi) * np.exp(-0.5 * (sigma * xi) ** 2)
+        ),
     )
 
 
@@ -414,6 +422,7 @@ def _laplace() -> GainSpec:
         formula="exp(-|t| / s)",
         loss_name="exponential absolute loss",
         loss_formula="1 - exp(-|t| / s)",
+        fourier=lambda sigma, xi: 2.0 * sigma / (1.0 + (sigma * xi) ** 2),
     )
 
 
@@ -569,6 +578,12 @@ def mixture_gain(components: Sequence[tuple[float, float]]) -> GainSpec:
         u = np.asarray(u, dtype=float)
         return -(np.exp(-np.multiply.outer(u, inv_s2)) @ (w * inv_s2))
 
+    def fourier(sigma, xi):
+        out = np.zeros_like(xi, dtype=float)
+        for wj, sj in comps:
+            out += wj * sj * sigma * math.sqrt(math.pi) * np.exp(-0.25 * (sj * sigma * xi) ** 2)
+        return out
+
     c0 = float(np.sum(w * inv_s2))
     widest = max(c[1] for c in comps)
     label = ", ".join(f"({wi:g}, {1.0 / math.sqrt(si):g})" for wi, si in zip(w, inv_s2))
@@ -589,5 +604,5 @@ def mixture_gain(components: Sequence[tuple[float, float]]) -> GainSpec:
         formula="sum_j w_j exp(-t^2 / s_j^2) (evaluate at sigma = 1)",
         loss_name="mixture loss",
         loss_formula="1 - sum_j w_j exp(-t^2 / s_j^2)",
-        mixture_components=tuple(comps),
+        fourier=fourier,
     )

@@ -1,6 +1,6 @@
 """One-dimensional quadrature used by the certification suite.
 
-Composite Gauss-Legendre is the default rule; ``breakpoints`` let callers
+The rule is composite Gauss-Legendre; ``breakpoints`` let callers
 align panel edges with kinks (support boundaries, density jumps) so the
 integrand stays smooth inside each panel.  ``integrate_checked`` repeats the
 computation with doubled node count and raises when the two disagree, which
@@ -23,11 +23,10 @@ CONVERGENCE_TOL = 1e-6
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Truncation half-width (in scale units), node budget, and rule."""
+    """Truncation half-width (in scale units) and node budget."""
 
     half_width: float = 40.0
     nodes: int = 4096
-    rule: str = "gauss_legendre_composite"
 
     def __post_init__(self) -> None:
         if self.nodes < 64:
@@ -36,8 +35,6 @@ class QuadratureConfig:
             raise InvalidParameterError(
                 f"half_width must be >= 10 to cover unbounded integrands, got {self.half_width}"
             )
-        if self.rule not in ("trapezoid", "gauss_legendre_composite"):
-            raise InvalidParameterError(f"unknown quadrature rule {self.rule!r}")
 
 
 @lru_cache(maxsize=None)
@@ -52,28 +49,21 @@ def _segments(a: float, b: float, breakpoints: Iterable[float]) -> list[tuple[fl
     return [(lo, hi) for lo, hi in zip(edges[:-1], edges[1:]) if hi > lo]
 
 
-def _nodes_weights(
-    a: float, b: float, nodes: int, rule: str, breakpoints: Iterable[float]
+def nodes_weights(
+    a: float, b: float, nodes: int, breakpoints: Iterable[float]
 ) -> tuple[np.ndarray, np.ndarray]:
+    """Composite Gauss-Legendre nodes and weights on [a, b], panels split at breakpoints."""
     segs = _segments(a, b, breakpoints)
     per_seg = max(nodes // max(len(segs), 1), _GL_ORDER)
+    xr, wr = _gl_reference(_GL_ORDER)
     xs, ws = [], []
     for lo, hi in segs:
-        if rule == "trapezoid":
-            x = np.linspace(lo, hi, per_seg)
-            w = np.full(per_seg, (hi - lo) / (per_seg - 1))
-            w[0] *= 0.5
-            w[-1] *= 0.5
-        else:
-            panels = max(per_seg // _GL_ORDER, 1)
-            xr, wr = _gl_reference(_GL_ORDER)
-            edges = np.linspace(lo, hi, panels + 1)
-            half = 0.5 * (edges[1:] - edges[:-1])
-            mid = 0.5 * (edges[1:] + edges[:-1])
-            x = (mid[:, None] + half[:, None] * xr[None, :]).ravel()
-            w = (half[:, None] * wr[None, :]).ravel()
-        xs.append(x)
-        ws.append(w)
+        panels = max(per_seg // _GL_ORDER, 1)
+        edges = np.linspace(lo, hi, panels + 1)
+        half = 0.5 * (edges[1:] - edges[:-1])
+        mid = 0.5 * (edges[1:] + edges[:-1])
+        xs.append((mid[:, None] + half[:, None] * xr[None, :]).ravel())
+        ws.append((half[:, None] * wr[None, :]).ravel())
     return np.concatenate(xs), np.concatenate(ws)
 
 
@@ -84,10 +74,10 @@ def integrate(
     cfg: QuadratureConfig,
     breakpoints: Iterable[float] = (),
 ) -> float:
-    """Integrate a vectorized function over [a, b] with the configured rule."""
+    """Integrate a vectorized function over [a, b] with composite Gauss-Legendre."""
     if not b > a:
         raise InvalidParameterError(f"empty integration interval [{a}, {b}]")
-    x, w = _nodes_weights(a, b, cfg.nodes, cfg.rule, breakpoints)
+    x, w = nodes_weights(a, b, cfg.nodes, breakpoints)
     vals = np.asarray(fn(x), dtype=float)
     if not np.all(np.isfinite(vals)):
         raise PrecisionFailureError("integrand returned non-finite values")
@@ -104,7 +94,7 @@ def integrate_checked(
 ) -> float:
     """Integrate, then re-integrate with doubled nodes; raise if they disagree."""
     coarse = integrate(fn, a, b, cfg, breakpoints)
-    fine_cfg = QuadratureConfig(cfg.half_width, 2 * cfg.nodes, cfg.rule)
+    fine_cfg = QuadratureConfig(cfg.half_width, 2 * cfg.nodes)
     fine = integrate(fn, a, b, fine_cfg, breakpoints)
     if abs(fine - coarse) > tol * max(1.0, abs(fine)):
         raise PrecisionFailureError(

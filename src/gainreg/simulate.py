@@ -241,7 +241,10 @@ def truth_function(truth) -> tuple[Callable[[np.ndarray], np.ndarray], str]:
     """
     if isinstance(truth, str):
         parts = truth.split(":")
-        truth = (parts[0], *[float(p) for p in parts[1:]])
+        try:
+            truth = (parts[0], *[float(p) for p in parts[1:]])
+        except ValueError:
+            raise InvalidParameterError(f"truth {truth!r}: parameters must be numbers") from None
     kind = truth[0]
     if kind == "sine":
         return (lambda x: 2.0 * np.sin(math.pi * x[:, 0])), "sine"

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -35,6 +35,7 @@ from .features import (
     HypothesisModel,
     default_sup_bound,
     design_matrix,
+    predict_batch,
 )
 from .gains import GainSpec, eval_gain, eval_gain_derivative, irls_weight
 from .rng import generator
@@ -95,15 +96,7 @@ def empirical_gain(
     """Mean gain of the residuals: (1/n) sum p_sigma(y_i - f(x_i))."""
     if data.n == 0:
         raise InvalidInputError("empirical gain needs at least one observation")
-    residuals = data.outputs - np.asarray(predict_batch(model, data.inputs))
-    return float(np.mean(eval_gain(spec, sigma, residuals)))
-
-
-def predict_batch(model: HypothesisModel, inputs: np.ndarray) -> np.ndarray:
-    values = design_matrix(model.feature_map, inputs) @ model.coefficients
-    if model.clip:
-        values = np.clip(values, -model.M, model.M)
-    return values
+    return _mean_gain(spec, sigma, data.outputs - predict_batch(model, data.inputs))
 
 
 def gain_gradient(
@@ -111,13 +104,17 @@ def gain_gradient(
 ) -> np.ndarray:
     """Gradient of the empirical gain in the coefficients."""
     X = design_matrix(model.feature_map, data.inputs)
-    residuals = data.outputs - X @ model.coefficients
-    slopes = eval_gain_derivative(spec, sigma, residuals)
-    return -(X.T @ slopes) / data.n
+    return _gradient(X, data.outputs, model.coefficients, spec, sigma)
 
 
 def _mean_gain(spec: GainSpec, sigma: float, residuals: np.ndarray) -> float:
     return float(np.mean(eval_gain(spec, sigma, residuals)))
+
+
+def _gradient(
+    X: np.ndarray, y: np.ndarray, coeffs: np.ndarray, spec: GainSpec, sigma: float
+) -> np.ndarray:
+    return -(X.T @ eval_gain_derivative(spec, sigma, y - X @ coeffs)) / len(y)
 
 
 def _weighted_solve(
@@ -226,8 +223,7 @@ def _gradient_stage(
     iters = 0
     for _ in range(cfg.max_iters):
         iters += 1
-        residuals = y - X @ coeffs
-        grad = -(X.T @ eval_gain_derivative(spec, sigma, residuals)) / len(y)
+        grad = _gradient(X, y, coeffs, spec, sigma)
         norm = float(np.linalg.norm(grad))
         if norm == 0.0:
             converged = True
@@ -323,24 +319,21 @@ def _grid_consensus(
 
 
 def _validate_method(spec: GainSpec, method: str) -> None:
-    if spec.name == "uniform" and method != GRID_CONSENSUS:
+    box = spec.generating_deriv is None  # piecewise constant: fit by counting consensus
+    if box != (method == GRID_CONSENSUS):
         raise UnsupportedOperationError(
-            "the box objective is piecewise constant; use grid_consensus"
+            f"{spec.name}: grid_consensus fits box gains (no derivative), and only them"
         )
     if method == IRLS and spec.calibration == "none":
         raise UnsupportedOperationError(
             f"{spec.name}: reweighting needs a calibrated (type-2) gain; "
             "use the gradient method"
         )
-    if method == GRADIENT and spec.generating_deriv is None:
-        raise UnsupportedOperationError(f"{spec.name}: gradient method needs a derivative")
-    if method == GRID_CONSENSUS and spec.name != "uniform":
-        raise UnsupportedOperationError("grid consensus applies to the uniform gain only")
 
 
 def default_config(spec: GainSpec, **overrides) -> SolverConfig:
-    """Method selection by gain class: IRLS, then gradient, then consensus."""
-    if spec.name == "uniform":
+    """Method selection by gain class: consensus for a box, else IRLS, else gradient."""
+    if spec.generating_deriv is None:
         method = GRID_CONSENSUS
     elif spec.calibration != "none":
         method = IRLS
@@ -502,11 +495,6 @@ def sigma_schedule(variant: str, epsilon: float, q: float, n: int) -> float:
     return float(n) ** schedule_exponent(variant, epsilon, q)
 
 
-def _fold_indices(n: int, folds: int, seed: int) -> list[np.ndarray]:
-    order = generator(seed, "cv-shuffle").permutation(n)
-    return [order[k::folds] for k in range(folds)]
-
-
 def _subset(data: Dataset, idx: np.ndarray) -> Dataset:
     return Dataset(
         inputs=data.inputs[idx],
@@ -515,6 +503,37 @@ def _subset(data: Dataset, idx: np.ndarray) -> Dataset:
         noise=data.noise,
         truth=data.truth,
     )
+
+
+def kfold_select(
+    data: Dataset,
+    spec: GainSpec,
+    candidates: Sequence[float],
+    fit: Callable[[Dataset, float], FitReport],
+    folds: int,
+    seed: int,
+    stream: str,
+) -> tuple[float, list[tuple[float, float]]]:
+    """K-fold choice among candidates by mean held-out gain; ties go to the larger one.
+
+    ``fit(train, candidate)`` fits a training split; its held-out split is
+    scored at the fit's own scale.  Folds deal a ``stream``-keyed shuffle round-robin.
+    """
+    if folds < 2:
+        raise InvalidParameterError("cross-validation needs at least 2 folds")
+    if not candidates:
+        raise InvalidParameterError("cross-validation needs a non-empty candidate grid")
+    order = generator(seed, stream).permutation(data.n)
+    parts = [order[k::folds] for k in range(folds)]
+    table: list[tuple[float, float]] = []
+    for candidate in candidates:
+        scores = []
+        for held in parts:
+            report = fit(_subset(data, np.setdiff1d(np.arange(data.n), held)), candidate)
+            scores.append(empirical_gain(report.model, _subset(data, held), spec, report.sigma))
+        table.append((candidate, float(np.mean(scores))))
+    best = max(table, key=lambda row: (row[1], row[0]))  # best score, then larger candidate
+    return best[0], table
 
 
 def cross_validate_sigma(
@@ -527,24 +546,11 @@ def cross_validate_sigma(
     seed: int = 0,
 ) -> tuple[float, list[tuple[float, float]]]:
     """Pick the scale with the best mean held-out gain; ties go to larger sigma."""
-    if folds < 2:
-        raise InvalidParameterError("cross-validation needs at least 2 folds")
     grid = [float(s) for s in sigma_grid]
-    if not grid or any(s <= 0 for s in grid):
-        raise InvalidParameterError("sigma grid must be non-empty and positive")
-    parts = _fold_indices(data.n, folds, seed)
-    all_idx = np.arange(data.n)
-    table: list[tuple[float, float]] = []
-    for sigma in grid:
-        scores = []
-        for k in range(folds):
-            held = parts[k]
-            train = np.setdiff1d(all_idx, held, assume_unique=False)
-            report = fit_egm(_subset(data, train), spec, sigma, fmap, cfg)
-            scores.append(empirical_gain(report.model, _subset(data, held), spec, sigma))
-        table.append((sigma, float(np.mean(scores))))
-    best_sigma, best_score = table[0]
-    for sigma, score in table[1:]:
-        if score > best_score or (score == best_score and sigma >= best_sigma):
-            best_sigma, best_score = sigma, score
-    return best_sigma, table
+    if any(s <= 0 for s in grid):
+        raise InvalidParameterError("sigma grid must be positive")
+
+    def fit(train: Dataset, sigma: float) -> FitReport:
+        return fit_egm(train, spec, sigma, fmap, cfg)
+
+    return kfold_select(data, spec, grid, fit, folds, seed, "cv-shuffle")

@@ -12,6 +12,16 @@ def test_anneal_ladder():
     ladder = anneal_ladder(0.05)
     assert ladder[0] == 8.0 and all(a > b for a, b in zip(ladder, ladder[1:]))
     assert ladder[-1] > 0.05
+    for sigma in (0.0, -1.0):  # a halving chain never reaches them
+        with pytest.raises(gr.InvalidParameterError):
+            anneal_ladder(sigma)
+
+
+def test_rates_need_a_repetition():
+    # Zero repetitions used to report NaN medians from empty slices.
+    with pytest.raises(gr.InvalidParameterError):
+        bench_rates("triweight", gr.NoiseSpec.gaussian(0.0, 1.0), 1.0, 1.0, "theta1",
+                    [50], reps=0, seed=0)
 
 
 def test_rates_light_tail_consistency():

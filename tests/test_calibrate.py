@@ -66,8 +66,6 @@ def test_quadrature_config_invariants():
         gr.QuadratureConfig(nodes=32)
     with pytest.raises(InvalidParameterError):
         gr.QuadratureConfig(half_width=5.0)
-    with pytest.raises(InvalidParameterError):
-        gr.QuadratureConfig(rule="simpson")
 
 
 def test_axioms_triweight_mass(cat, quad):
@@ -199,11 +197,9 @@ def test_fourier_transform_mixture_analytic_matches_oracle():
     assert got[1] == pytest.approx(1.485234564028, rel=1e-12)
 
 
-def test_trapezoid_rule_basic_accuracy():
+def test_gauss_legendre_basic_accuracy():
     from gainreg.quadrature import integrate
 
-    cfg = gr.QuadratureConfig(nodes=20_001, rule="trapezoid")
-    assert integrate(lambda t: t**2, 0.0, 1.0, cfg) == pytest.approx(1.0 / 3.0, abs=1e-8)
     cfg_gl = gr.QuadratureConfig(nodes=128)
     assert integrate(lambda t: np.exp(t), -1.0, 2.0, cfg_gl) == pytest.approx(
         float(np.exp(2) - np.exp(-1)), rel=1e-13
@@ -311,7 +307,7 @@ def test_quadrature_convergence_under_doubling(cat):
 def test_integrate_checked_raises_on_rough_integrand():
     from gainreg.quadrature import integrate_checked
 
-    cfg = gr.QuadratureConfig(nodes=64, rule="trapezoid")
+    cfg = gr.QuadratureConfig(nodes=64)
     with pytest.raises(PrecisionFailureError):
         integrate_checked(lambda t: np.cos(3000.0 * t**2), 0.0, 10.0, cfg)
 
@@ -342,6 +338,19 @@ def test_gain_mass_values(cat, quad):
     assert gain_mass(cat["cauchy"], 1.0, quad) == pytest.approx(math.pi, rel=1e-14)
     assert gain_mass(cat["uniform"], 2.0, quad) == pytest.approx(1.0, rel=1e-12)
     assert gain_mass(cat["cosine"], 1.0, quad) == pytest.approx(4.0 / math.pi, rel=1e-12)
+
+
+def test_closed_forms_follow_the_spec_not_its_name(cat, quad):
+    # A triweight renamed "gaussian" keeps its own mass 32/35 and its own transform.
+    fake = replace(cat["triweight"], name="gaussian")
+    assert gain_mass(fake, 1.0, quad) == pytest.approx(32.0 / 35.0, rel=1e-12)
+    xi = np.array([0.0, 1.0])
+    assert np.array_equal(gr.fourier_transform(fake, 1.0, xi),
+                          gr.fourier_transform(cat["triweight"], 1.0, xi))
+    # A mixture's mass is its closed-form transform at zero: sqrt(pi) sum_j w_j s_j.
+    mix = gr.mixture_gain([(0.3, 0.7), (0.7, 2.5)])
+    want = math.sqrt(math.pi) * (0.3 * 0.7 + 0.7 * 2.5)
+    assert gain_mass(mix, 1.0, quad) == pytest.approx(want, rel=1e-14)
 
 
 @pytest.mark.parametrize("name", TABLE_GAINS)

@@ -215,3 +215,41 @@ def test_config_errors_are_usage_errors(tmp_path, config):
     proc = run_process(*argv, cwd=tmp_path)
     assert proc.returncode == 1, proc.stderr
     assert "usage error" in proc.stderr and "Traceback" not in proc.stderr
+
+
+OUT = ["--out", "out.csv"]
+BAD_INPUTS = {
+    "noise-malformed-json": ["simulate", "--model", "location", "--noise", "{bad", *OUT],
+    "noise-missing-parameter": ["simulate", "--model", "location", "--noise", "student_t", *OUT],
+    "noise-missing-family": ["simulate", "--model", "location", "--noise", '{"df": 3}', *OUT],
+    "noise-non-numeric": ["simulate", "--model", "location", "--noise", "normal:abc", *OUT],
+    "truth-non-numeric": ["simulate", "--model", "location", "--truth", "constant:abc", *OUT],
+    "predict-model-missing-key": ["predict", "--model", "m.json", "--data", "d.csv"],
+    "fit-load-missing-key": ["fit", "--data", "d.csv", "--gain", "gaussian", "--sigma", "1",
+                             "--load", "m.json"],
+    "cv-sigma-non-numeric": ["fit", "--data", "d.csv", "--gain", "gaussian",
+                             "--cv-sigma", "1,abc"],
+    "anneal-non-numeric": ["fit", "--data", "d.csv", "--gain", "gaussian", "--sigma", "1",
+                           "--anneal", "4,abc"],
+    "sigmas-non-numeric": ["bench", "toy", "--sigmas", "0.5,abc", *OUT],
+    "n-list-non-numeric": ["bench", "rates", "--n-list", "50,abc", *OUT],
+}
+
+
+@pytest.mark.parametrize("argv", list(BAD_INPUTS.values()), ids=list(BAD_INPUTS))
+def test_malformed_flag_values_exit_one_without_traceback(tmp_path, argv):
+    (tmp_path / "d.csv").write_text("x_0,y\n0.1,1\n0.5,2\n0.9,3\n")
+    (tmp_path / "m.json").write_text('{"kind": "linear"}')
+    proc = run_process(*argv, cwd=tmp_path)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.startswith(("usage error", "invalid request")), proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("folds", ["0", "1"])
+def test_bench_toy_needs_two_folds(tmp_path, folds):
+    proc = run_process("bench", "toy", "--n-train", "20", "--n-test", "20", "--sigmas", "10",
+                       "--folds", folds, "--out", "toy.csv", cwd=tmp_path)
+    assert proc.returncode == 1, proc.stderr
+    assert "cross-validation needs at least 2 folds" in proc.stderr
+    assert "Traceback" not in proc.stderr

@@ -1,10 +1,12 @@
 """Fitting behavior: exact recoveries, ascent guarantees, schedules, CV."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import gainreg as gr
-from gainreg import solver
+from gainreg import bench, solver
 from gainreg.cli import main
 from gainreg.errors import (
     DegenerateIterateError,
@@ -178,6 +180,44 @@ def test_uniform_requires_grid_consensus(cat):
     with pytest.raises(UnsupportedOperationError):
         gr.fit_egm(data, cat["gaussian"], 0.5, gr.linear_map(1),
                    gr.SolverConfig(method="grid_consensus"))
+
+
+def test_method_dispatch_follows_capabilities_not_names(cat):
+    # A renamed spec keeps its solver: the method follows what the gain can do.
+    data = linear_data(seed=51)
+    for spec, method in ((replace(cat["gaussian"], name="uniform"), "irls"),
+                         (replace(cat["uniform"], name="box"), "grid_consensus"),
+                         (replace(cat["laplace"], name="gaussian"), "gradient")):
+        cfg = gr.default_config(spec, seed=1)
+        assert cfg.method == method, spec.name
+        assert gr.fit_egm(data, spec, 0.5, gr.linear_map(1), cfg).method == method
+        assert gr.fit_egm(data, spec, 0.5, gr.linear_map(1)).method == method
+    with pytest.raises(UnsupportedOperationError):
+        gr.fit_egm(data, replace(cat["uniform"], name="box"), 0.5, gr.linear_map(1),
+                   gr.SolverConfig(method="gradient"))
+
+
+def test_cross_validation_routines_share_one_kfold_core(cat, monkeypatch):
+    # Both public routines go through the one k-fold routine with their own stream.
+    data = linear_data(n=40, seed=52)
+    cfg = gr.SolverConfig(method="irls")
+    calls = []
+    real = solver.kfold_select
+
+    def spy(*args):
+        calls.append(args[-1])
+        return real(*args)
+
+    monkeypatch.setattr(solver, "kfold_select", spy)
+    monkeypatch.setattr(bench, "kfold_select", spy)
+    gr.cross_validate_sigma(data, cat["gaussian"], [1.0, 2.0], gr.linear_map(1), cfg, 3)
+    bench.cross_validate_bandwidth(data, cat["gaussian"], 4.0, (0.5, 1.0), seed=0, folds=3)
+    assert calls == ["cv-shuffle", "bw-shuffle"]
+    for folds in (0, 1):
+        with pytest.raises(InvalidParameterError, match="at least 2 folds"):
+            bench.cross_validate_bandwidth(data, cat["gaussian"], 4.0, (0.5,), 0, folds)
+    with pytest.raises(InvalidParameterError, match="non-empty"):
+        bench.cross_validate_bandwidth(data, cat["gaussian"], 4.0, (), 0, 3)
 
 
 def test_grid_consensus_recovers_majority_line(cat):
