@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InvalidParameterError
-from .features import kernel_map, linear_map, subsample_centers
+from .features import DEFAULT_CENTER_CAP, kernel_map, linear_map, subsample_centers
 from .gains import GainSpec, catalog
 from .rng import derive_key, generator
 from .simulate import Dataset, NoiseSpec, gen_location, gen_toy, toy_references, truth_function
@@ -36,12 +36,12 @@ ANNEAL_START = 8.0
 MC_POINTS = 10_000
 
 
-def anneal_ladder(sigma: float, start: float = ANNEAL_START) -> tuple[float, ...]:
-    """Halving chain of scales from ``start`` down to (but above) ``sigma``."""
+def anneal_ladder(sigma: float) -> tuple[float, ...]:
+    """Halving chain of scales from ``ANNEAL_START`` down to (but above) ``sigma``."""
     if not sigma > 0:  # the halving chain would never end
         raise InvalidParameterError(f"sigma must be positive, got {sigma}")
     stages = []
-    s = start
+    s = ANNEAL_START
     while s > sigma:
         stages.append(s)
         s *= 0.5
@@ -67,13 +67,12 @@ def cross_validate_bandwidth(
     bandwidth_grid: Sequence[float],
     seed: int,
     folds: int = 5,
-    center_cap: int = 500,
 ) -> tuple[float, list[tuple[float, float]]]:
     """Mean held-out gain per kernel bandwidth; ties go to the larger one."""
     cfg = toy_solver_config(sigma, seed)
 
     def fit(sub: Dataset, bw: float) -> FitReport:
-        fmap = kernel_map(subsample_centers(sub.inputs, center_cap, seed), bw)
+        fmap = kernel_map(subsample_centers(sub.inputs, DEFAULT_CENTER_CAP, seed), bw)
         return fit_egm(sub, spec, sigma, fmap, cfg)
 
     grid = [float(bw) for bw in bandwidth_grid]
@@ -96,14 +95,12 @@ def toy_fit_at_scale(
     test: Dataset,
     sigma: float,
     seed: int,
-    bandwidth_grid: Sequence[float] = TOY_BANDWIDTH_GRID,
     folds: int = 5,
     restarts: int = 3,
-    center_cap: int = 500,
 ) -> ToyFitResult:
     spec = catalog()["gaussian"]
-    bw, _ = cross_validate_bandwidth(train, spec, sigma, bandwidth_grid, seed, folds, center_cap)
-    fmap = kernel_map(subsample_centers(train.inputs, center_cap, seed), bw)
+    bw, _ = cross_validate_bandwidth(train, spec, sigma, TOY_BANDWIDTH_GRID, seed, folds)
+    fmap = kernel_map(subsample_centers(train.inputs, DEFAULT_CENTER_CAP, seed), bw)
     report = fit_egm(train, spec, sigma, fmap, toy_solver_config(sigma, seed, restarts))
     predictions = predict_batch(report.model, test.inputs)
     mean_ref, mode_ref = toy_references(test.inputs[:, 0])
@@ -125,14 +122,13 @@ def bench_toy(
     n_test: int,
     sigmas: Sequence[float],
     seed: int,
-    bandwidth_grid: Sequence[float] = TOY_BANDWIDTH_GRID,
     folds: int = 5,
     restarts: int = 3,
 ) -> list[ToyFitResult]:
     train = gen_toy(n_train, seed)
     test = gen_toy(n_test, seed + 1)
     return [
-        toy_fit_at_scale(train, test, sigma, seed, bandwidth_grid, folds, restarts)
+        toy_fit_at_scale(train, test, sigma, seed, folds, restarts)
         for sigma in sorted(float(s) for s in sigmas)
     ]
 

@@ -35,13 +35,14 @@ from .errors import (
     UnsupportedOperationError,
 )
 from .features import (
+    DEFAULT_CENTER_CAP,
     kernel_map,
     linear_map,
     model_from_json,
     model_to_json,
     subsample_centers,
 )
-from .gains import catalog, eval_gain, eval_gain_derivative, loss_from_gain
+from .gains import GainSpec, catalog, eval_gain, eval_gain_derivative, loss_from_gain
 from .quadrature import QuadratureConfig
 from .simulate import Dataset, NoiseSpec, gen_location, gen_toy, toy_noise_spec
 from .solver import (
@@ -217,7 +218,7 @@ def cmd_catalog(args) -> int:
                 f"  constants: L1={_fmt(k.L1)} L2={_fmt(k.L2)} L3={_fmt(k.L3)} c0={_fmt(k.c0)}"
             )
         lines.append(f"  support_radius: {_fmt(spec.support_radius)}")
-        lines.append(f"  peak: {_fmt(spec.peak_value)}")
+        lines.append(f"  peak: {_fmt(eval_gain(spec, 1.0, 0.0))}")
         lines.append("")
     text = "\n".join(lines)
     if args.out and args.out != "-":
@@ -227,11 +228,15 @@ def cmd_catalog(args) -> int:
     return EXIT_OK
 
 
-def cmd_eval(args) -> int:
+def _gain(name: str) -> GainSpec:
     specs = catalog()
-    if args.gain not in specs:
-        raise UsageError(f"unknown gain {args.gain!r}; see the catalog subcommand")
-    spec = specs[args.gain]
+    if name not in specs:
+        raise UsageError(f"unknown gain {name!r}; see the catalog subcommand")
+    return specs[name]
+
+
+def cmd_eval(args) -> int:
+    spec = _gain(args.gain)
     value = eval_gain(spec, args.sigma, args.t)
     print(f"gain {_fmt(value)}")
     if args.derivative:
@@ -242,16 +247,11 @@ def cmd_eval(args) -> int:
 
 
 def cmd_certify(args) -> int:
-    specs = catalog()
-    names = [args.gain] if args.gain else list(specs)
-    for name in names:
-        if name not in specs:
-            raise UsageError(f"unknown gain {name!r}")
+    specs = [_gain(args.gain)] if args.gain else list(catalog().values())
     quad = QuadratureConfig(half_width=args.half_width, nodes=args.nodes)
     rows = []
     all_pass = True
-    for name in names:
-        spec = specs[name]
+    for spec in specs:
         for row in certify_gain(spec, quad):
             rows.append(
                 [
@@ -329,10 +329,7 @@ def _resolve_sigma(args, data, spec, fmap, cfg) -> tuple[float, Optional[list]]:
 
 
 def cmd_fit(args) -> int:
-    specs = catalog()
-    if args.gain not in specs:
-        raise UsageError(f"unknown gain {args.gain!r}")
-    spec = specs[args.gain]
+    spec = _gain(args.gain)
     data = dataset_from_csv(args.data)
     warm = None
     if args.load:
@@ -427,6 +424,7 @@ def cmd_bench_toy(args) -> int:
 
 
 def cmd_bench_rates(args) -> int:
+    _gain(args.gain)  # an unknown name is a usage error, as in fit
     noise = parse_noise(args.noise)
     n_list = _numbers(args.n_list, "--n-list", int)
     cells, slope = bench_rates(
@@ -512,7 +510,7 @@ def build_parser() -> _Parser:
     p.add_argument("--gain", required=True)
     p.add_argument("--features", choices=["linear", "kernel"], default="linear")
     p.add_argument("--bandwidth", type=float, default=None)
-    p.add_argument("--centers-cap", type=int, default=500)
+    p.add_argument("--centers-cap", type=int, default=DEFAULT_CENTER_CAP)
     p.add_argument("--sigma", type=float, default=None)
     p.add_argument("--schedule", choices=["theta1", "theta2"], default=None)
     p.add_argument("--epsilon", type=float, default=None)

@@ -9,6 +9,7 @@ immutable; clipping truncates predictions to [-M, M] at evaluation time.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -38,8 +39,12 @@ class FeatureMap:
         if self.kind == KERNEL:
             if self.centers is None or len(self.centers) == 0:
                 raise InvalidParameterError("kernel maps need at least one center")
-            if self.bandwidth is None or self.bandwidth <= 0:
-                raise InvalidParameterError("kernel maps need a positive bandwidth")
+            # The kernel divides by the squared bandwidth, which must neither vanish nor overflow.
+            if self.bandwidth is None or not (0.0 < self.bandwidth * self.bandwidth < math.inf):
+                raise InvalidParameterError(
+                    f"kernel maps need a positive bandwidth with a finite, nonzero square, "
+                    f"got {self.bandwidth}"
+                )
             centers = np.atleast_2d(np.asarray(self.centers, dtype=float))
             if centers.shape[1] != self.input_dim:
                 raise InvalidParameterError(
@@ -85,6 +90,8 @@ def subsample_centers(
     inputs: np.ndarray, cap: int = DEFAULT_CENTER_CAP, seed: int = 0
 ) -> np.ndarray:
     """All training inputs as centers, uniformly subsampled above ``cap``."""
+    if cap < 1:
+        raise InvalidParameterError(f"the center cap must be positive, got {cap}")
     inputs = np.asarray(inputs, dtype=float)
     if inputs.ndim == 1:
         inputs = inputs[:, None]
@@ -125,7 +132,9 @@ def design_matrix(fmap: FeatureMap, inputs: np.ndarray) -> np.ndarray:
         - 2.0 * arr @ fmap.centers.T
         + np.sum(fmap.centers**2, axis=1)[None, :]
     )
-    return np.exp(-np.maximum(sq, 0.0) / (2.0 * fmap.bandwidth**2))
+    # Under a tiny bandwidth far points' exponents overflow to inf, and exp(-inf) = 0 is exact.
+    with np.errstate(over="ignore"):
+        return np.exp(-np.maximum(sq, 0.0) / (2.0 * fmap.bandwidth**2))
 
 
 def predict_batch(model: HypothesisModel, inputs: np.ndarray) -> np.ndarray:

@@ -33,8 +33,13 @@ ArrayFn = Callable[[np.ndarray], np.ndarray]
 # Grid size for the supremum searches that back non-tabulated constants.
 _CONSTANT_GRID = 100_000
 # Declared constants from searches carry this multiplicative slack so that a
-# later, finer estimate cannot legitimately exceed them.
-_DECLARED_SLACK = 1.01
+# later, finer estimate cannot legitimately exceed them; certification allows
+# an estimate the same headroom over any declared constant.
+DECLARED_HEADROOM = 1.01
+# Scales and scaled points stay where every catalog gain's arithmetic is finite:
+# sigma^2 and 1 / sigma, and (t / sigma)^4 in the Cauchy derivative.
+_SIGMA_RANGE = (1e-100, 1e100)
+_SCALED_MAX = 1e50
 
 
 @dataclass(frozen=True)
@@ -58,6 +63,7 @@ class GainSpec:
 
     ``fourier(sigma, xi)`` is the closed-form transform int p_sigma(t) cos(xi t) dt
     where one is known.  A gain without ``generating_deriv`` is a piecewise-constant box.
+    Its peak is ``eval_gain(spec, sigma, 0.0)``.
     """
 
     name: str
@@ -67,12 +73,10 @@ class GainSpec:
     representing_deriv: Optional[ArrayFn]
     type_alpha: Optional[tuple[float, float]]
     type_exact: bool
-    calibration: str  # 'none' | 'strong' | 'exact'
     constants: Optional[GainConstants]
     support_radius: float  # in units of sigma; inf for unbounded support
     loss_scale: float
     loss_sigma_exponent: int  # exponent a in loss = scale * sigma^a * drop
-    peak_value: float  # phi(0)
     formula: str
     loss_name: str
     loss_formula: str
@@ -80,12 +84,19 @@ class GainSpec:
     fourier: Optional[Callable[[float, np.ndarray], np.ndarray]] = None
 
     def __post_init__(self) -> None:
-        if self.calibration not in ("none", "strong", "exact"):
-            raise InvalidParameterError(f"unknown calibration {self.calibration!r}")
-        if self.calibration != "none" and self.representing_fn is None:
+        if self.representing_fn is not None and (
+            self.representing_deriv is None or self.constants is None
+        ):
             raise InvalidParameterError(
-                f"{self.name}: calibrated gains need a representing function"
+                f"{self.name}: a representing function needs its derivative and constants"
             )
+
+    @property
+    def calibration(self) -> str:
+        """'none' without a representing function, else 'exact' or 'strong' by ``type_exact``."""
+        if self.representing_fn is None:
+            return "none"
+        return "exact" if self.type_exact else "strong"
 
 
 def lipschitz_L3(L1: float, L2: float, c0: float) -> float:
@@ -105,22 +116,24 @@ def _constants(L1: float, L2: float, c0: float) -> GainConstants:
 def _check_sigma(sigma: float) -> float:
     if not (isinstance(sigma, (int, float, np.floating)) and math.isfinite(float(sigma))):
         raise InvalidParameterError(f"sigma must be a finite number, got {sigma!r}")
-    if sigma <= 0:
-        raise InvalidParameterError(f"sigma must be positive, got {sigma}")
+    lo, hi = _SIGMA_RANGE
+    if not (lo <= sigma <= hi):
+        raise InvalidParameterError(f"sigma must lie in [{lo:g}, {hi:g}], got {sigma}")
     return float(sigma)
 
 
-def _as_points(t, label: str = "t") -> tuple[np.ndarray, bool]:
+def _as_points(t, sigma: float, label: str = "t") -> tuple[np.ndarray, bool]:
     arr = np.asarray(t, dtype=float)
-    if not np.all(np.isfinite(arr)):
-        raise InvalidInputError(f"{label} must be finite")
+    # The comparison also fails on nan and inf.
+    if arr.size and not np.abs(arr).max() <= _SCALED_MAX * sigma:
+        raise InvalidInputError(f"{label} must be finite, within {_SCALED_MAX:g} sigma of 0")
     return arr, arr.ndim == 0
 
 
 def eval_gain(spec: GainSpec, sigma: float, t) -> float | np.ndarray:
     """Evaluate ``p_sigma(t)``; exactly zero outside the support."""
     sigma = _check_sigma(sigma)
-    arr, scalar = _as_points(t)
+    arr, scalar = _as_points(t, sigma)
     vals = spec.generating_fn(arr / sigma)
     if spec.sigma_normalized:
         vals = vals / sigma
@@ -134,7 +147,7 @@ def eval_gain_derivative(spec: GainSpec, sigma: float, t) -> float | np.ndarray:
         raise UnsupportedOperationError(
             f"{spec.name}: derivative is zero almost everywhere and not useful"
         )
-    arr, scalar = _as_points(t)
+    arr, scalar = _as_points(t, sigma)
     vals = spec.generating_deriv(arr / sigma) / sigma
     if spec.sigma_normalized:
         vals = vals / sigma
@@ -144,21 +157,20 @@ def eval_gain_derivative(spec: GainSpec, sigma: float, t) -> float | np.ndarray:
 def loss_from_gain(spec: GainSpec, sigma: float, t) -> float | np.ndarray:
     """Bounded loss dual of the gain: ``scale * sigma^a * (p_sigma(0) - p_sigma(t))``."""
     sigma = _check_sigma(sigma)
-    arr, scalar = _as_points(t)
-    peak = spec.peak_value / sigma if spec.sigma_normalized else spec.peak_value
-    drop = peak - eval_gain(spec, sigma, arr)
+    arr, scalar = _as_points(t, sigma)
+    drop = eval_gain(spec, sigma, 0.0) - eval_gain(spec, sigma, arr)
     vals = spec.loss_scale * sigma**spec.loss_sigma_exponent * drop
     return float(vals) if scalar else vals
 
 
 def irls_weight(spec: GainSpec, sigma: float, r) -> float | np.ndarray:
     """Half-quadratic weight ``w(r) = -psi'(r^2 / sigma^2)``; zero beyond support."""
-    if spec.calibration == "none" or spec.representing_deriv is None:
+    if spec.representing_deriv is None:
         raise UnsupportedOperationError(
             f"{spec.name}: half-quadratic weights need a calibrated representing function"
         )
     sigma = _check_sigma(sigma)
-    arr, scalar = _as_points(r, "r")
+    arr, scalar = _as_points(r, sigma, "r")
     u = (arr / sigma) ** 2
     vals = -spec.representing_deriv(u)
     if math.isfinite(spec.support_radius):
@@ -188,13 +200,13 @@ def _searched_constants(
     declared slack so finer verification grids stay below them.
     """
     hi = support_radius if math.isfinite(support_radius) else search_halfwidth
-    L1 = _grid_sup(generating_deriv, 0.0, hi) * _DECLARED_SLACK
+    L1 = _grid_sup(generating_deriv, 0.0, hi) * DECLARED_HEADROOM
     # psi' only needs a Lipschitz bound on [0, 1); keep the stencil strictly
     # inside so a psi' jump at the support edge cannot leak in.
     h = 1e-6
     u = np.linspace(h, 1.0 - 2.0 * h, _CONSTANT_GRID)
     second = (representing_deriv(u + h) - representing_deriv(u - h)) / (2.0 * h)
-    L2 = float(np.abs(second[np.isfinite(second)]).max()) * _DECLARED_SLACK
+    L2 = float(np.abs(second[np.isfinite(second)]).max()) * DECLARED_HEADROOM
     return _constants(L1, L2, c0)
 
 
@@ -206,6 +218,11 @@ def _signp(s: np.ndarray) -> np.ndarray:
 def generalized_tukey(m: int, n: int) -> GainSpec:
     """Gain ``(1 - |s|^m)^n`` on [-1, 1]; (2,3) is the triweight, (2,1) the
     Epanechnikov generating function."""
+    return _tukey(m, n, None)
+
+
+def _tukey(m: int, n: int, tabulated: Optional[GainConstants]) -> GainSpec:
+    # Tabulated constants of an m = 2 member spare it the supremum search.
     if not (isinstance(m, (int, np.integer)) and isinstance(n, (int, np.integer))):
         raise InvalidParameterError("power indices m, n must be integers")
     if m < 1 or n < 1:
@@ -229,11 +246,9 @@ def generalized_tukey(m: int, n: int) -> GainSpec:
         def dpsi(u: np.ndarray) -> np.ndarray:
             return np.where(u < 1.0, -n * (1.0 - np.minimum(u, 1.0)) ** (n - 1), 0.0)
 
-        calibration = "exact" if n == 1 else "strong"
-        constants = _searched_constants(dphi, dpsi, float(n), 1.0)
+        constants = tabulated or _searched_constants(dphi, dpsi, float(n), 1.0)
     else:
         psi = dpsi = None
-        calibration = "none"
         constants = None
 
     return GainSpec(
@@ -244,83 +259,13 @@ def generalized_tukey(m: int, n: int) -> GainSpec:
         representing_deriv=dpsi,
         type_alpha=(float(m), float(n)),
         type_exact=(n == 1),
-        calibration=calibration,
         constants=constants,
         support_radius=1.0,
         loss_scale=1.0,
         loss_sigma_exponent=0,
-        peak_value=1.0,
         formula=f"(1 - |t/s|^{m})^{n} for |t| <= s, else 0",
         loss_name=f"generalized Tukey loss (m={m}, n={n})",
         loss_formula=f"1 - (1 - |t/s|^{m})^{n} for |t| <= s, else 1",
-    )
-
-
-def _triweight() -> GainSpec:
-    def phi(s):
-        s2 = np.minimum(s * s, 1.0)
-        return np.where(np.abs(s) <= 1.0, (1.0 - s2) ** 3, 0.0)
-
-    def dphi(s):
-        inside = (s >= -1.0) & (s < 1.0)
-        return np.where(inside, -6.0 * s * (1.0 - np.minimum(s * s, 1.0)) ** 2, 0.0)
-
-    def psi(u):
-        return np.where(u <= 1.0, (1.0 - np.minimum(u, 1.0)) ** 3, 0.0)
-
-    def dpsi(u):
-        return np.where(u < 1.0, -3.0 * (1.0 - np.minimum(u, 1.0)) ** 2, 0.0)
-
-    return GainSpec(
-        name="triweight",
-        generating_fn=phi,
-        generating_deriv=dphi,
-        representing_fn=psi,
-        representing_deriv=dpsi,
-        type_alpha=(2.0, 3.0),
-        type_exact=False,
-        calibration="strong",
-        constants=_constants(96.0 / (5.0 * math.sqrt(5.0)), 6.0, 3.0),
-        support_radius=1.0,
-        loss_scale=1.0 / 6.0,
-        loss_sigma_exponent=2,
-        peak_value=1.0,
-        formula="(1 - t^2/s^2)^3 for |t| <= s, else 0",
-        loss_name="Tukey biweight loss",
-        loss_formula="(s^2/6) * (1 - (1 - t^2/s^2)^3) for |t| <= s, else s^2/6",
-    )
-
-
-def _epanechnikov() -> GainSpec:
-    def phi(s):
-        return np.where(np.abs(s) <= 1.0, 1.0 - np.minimum(s * s, 1.0), 0.0)
-
-    def dphi(s):
-        return np.where((s >= -1.0) & (s < 1.0), -2.0 * s, 0.0)
-
-    def psi(u):
-        return np.where(u <= 1.0, 1.0 - np.minimum(u, 1.0), 0.0)
-
-    def dpsi(u):
-        return np.where(u < 1.0, -1.0, 0.0)
-
-    return GainSpec(
-        name="epanechnikov",
-        generating_fn=phi,
-        generating_deriv=dphi,
-        representing_fn=psi,
-        representing_deriv=dpsi,
-        type_alpha=(2.0, 1.0),
-        type_exact=True,
-        calibration="exact",
-        constants=_constants(2.0, 0.0, 1.0),
-        support_radius=1.0,
-        loss_scale=1.0,
-        loss_sigma_exponent=2,
-        peak_value=1.0,
-        formula="1 - t^2/s^2 for |t| <= s, else 0",
-        loss_name="truncated square loss",
-        loss_formula="min(t^2, s^2)",
     )
 
 
@@ -345,12 +290,10 @@ def _cauchy() -> GainSpec:
         representing_deriv=dpsi,
         type_alpha=(2.0, 1.0),
         type_exact=False,
-        calibration="strong",
         constants=_constants(3.0 * math.sqrt(3.0) / 8.0, 2.0, 1.0),
         support_radius=math.inf,
         loss_scale=1.0,
         loss_sigma_exponent=0,
-        peak_value=1.0,
         formula="s^2 / (s^2 + t^2)",
         loss_name="Geman-McClure loss",
         loss_formula="t^2 / (s^2 + t^2)",
@@ -382,12 +325,10 @@ def _gaussian() -> GainSpec:
         representing_deriv=dpsi,
         type_alpha=(2.0, 0.5),
         type_exact=False,
-        calibration="strong",
         constants=_constants(math.exp(-0.5), 0.25, 0.5),
         support_radius=math.inf,
         loss_scale=1.0,
         loss_sigma_exponent=2,
-        peak_value=1.0,
         formula="exp(-t^2 / (2 s^2))",
         loss_name="exponential squared loss",
         loss_formula="s^2 * (1 - exp(-t^2 / (2 s^2)))",
@@ -402,8 +343,9 @@ def _laplace() -> GainSpec:
         return np.exp(-np.abs(s))
 
     def dphi(s):
-        # Right one-sided derivative at the kink t = 0.
-        return np.where(s >= 0.0, -np.exp(-s), np.exp(s))
+        # Right one-sided derivative at the kink t = 0; exp(-|s|) cannot overflow.
+        e = np.exp(-np.abs(s))
+        return np.where(s >= 0.0, -e, e)
 
     return GainSpec(
         name="laplace",
@@ -413,12 +355,10 @@ def _laplace() -> GainSpec:
         representing_deriv=None,
         type_alpha=(1.0, 1.0),
         type_exact=False,
-        calibration="none",
         constants=None,
         support_radius=math.inf,
         loss_scale=1.0,
         loss_sigma_exponent=0,
-        peak_value=1.0,
         formula="exp(-|t| / s)",
         loss_name="exponential absolute loss",
         loss_formula="1 - exp(-|t| / s)",
@@ -455,12 +395,10 @@ def _cosine() -> GainSpec:
         representing_deriv=dpsi,
         type_alpha=(2.0, math.pi**2 / 8.0),
         type_exact=False,
-        calibration="strong",
         constants=_constants(math.pi, math.pi**4 / 192.0, math.pi**2 / 8.0),
         support_radius=1.0,
         loss_scale=1.0,
         loss_sigma_exponent=2,
-        peak_value=1.0,
         formula="cos(pi t / (2 s)) for |t| <= s, else 0",
         loss_name="Andrews loss",
         loss_formula="s^2 * (1 - cos(pi t / (2 s))) for |t| <= s, else s^2",
@@ -479,12 +417,10 @@ def _uniform() -> GainSpec:
         representing_deriv=None,
         type_alpha=(0.0, 0.0),
         type_exact=True,
-        calibration="none",
         constants=None,
         support_radius=1.0,
         loss_scale=2.0,
         loss_sigma_exponent=1,
-        peak_value=0.5,
         formula="1 / (2 s) for |t| <= s, else 0",
         loss_name="box loss",
         loss_formula="0 for |t| <= s, else 1",
@@ -492,15 +428,30 @@ def _uniform() -> GainSpec:
     )
 
 
-def _rename(spec: GainSpec, name: str, loss_name: str, loss_formula: str) -> GainSpec:
-    return replace(spec, name=name, loss_name=loss_name, loss_formula=loss_formula)
+def _rename(spec: GainSpec, name: str, loss_name: str, loss_formula: str, **changes) -> GainSpec:
+    return replace(spec, name=name, loss_name=loss_name, loss_formula=loss_formula, **changes)
 
 
 @lru_cache(maxsize=1)
 def _base_specs() -> tuple[GainSpec, ...]:
     return (
-        _triweight(),
-        _epanechnikov(),
+        _rename(
+            _tukey(2, 3, _constants(96.0 / (5.0 * math.sqrt(5.0)), 6.0, 3.0)),
+            "triweight",
+            "Tukey biweight loss",
+            "(s^2/6) * (1 - (1 - t^2/s^2)^3) for |t| <= s, else s^2/6",
+            loss_scale=1.0 / 6.0,
+            loss_sigma_exponent=2,
+            formula="(1 - t^2/s^2)^3 for |t| <= s, else 0",
+        ),
+        _rename(
+            _tukey(2, 1, _constants(2.0, 0.0, 1.0)),
+            "epanechnikov",
+            "truncated square loss",
+            "min(t^2, s^2)",
+            loss_sigma_exponent=2,
+            formula="1 - t^2/s^2 for |t| <= s, else 0",
+        ),
         _cauchy(),
         _gaussian(),
         _laplace(),
@@ -519,10 +470,11 @@ def _base_specs() -> tuple[GainSpec, ...]:
             "1 - (1 - t^2/s^2)^2 for |t| <= s, else 1",
         ),
         _rename(
-            replace(generalized_tukey(1, 1), loss_sigma_exponent=1),
+            generalized_tukey(1, 1),
             "triangular",
             "truncated absolute deviation loss",
             "|t| for |t| <= s, else s",
+            loss_sigma_exponent=1,
         ),
     )
 
@@ -595,12 +547,10 @@ def mixture_gain(components: Sequence[tuple[float, float]]) -> GainSpec:
         representing_deriv=dpsi,
         type_alpha=(2.0, c0),
         type_exact=False,
-        calibration="strong",
         constants=_searched_constants(dphi, dpsi, c0, math.inf, search_halfwidth=8.0 * widest),
         support_radius=math.inf,
         loss_scale=1.0,
         loss_sigma_exponent=0,
-        peak_value=1.0,
         formula="sum_j w_j exp(-t^2 / s_j^2) (evaluate at sigma = 1)",
         loss_name="mixture loss",
         loss_formula="1 - sum_j w_j exp(-t^2 / s_j^2)",

@@ -9,6 +9,7 @@ is the convergence diagnostic every reported quantity relies on.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterable
@@ -31,9 +32,10 @@ class QuadratureConfig:
     def __post_init__(self) -> None:
         if self.nodes < 64:
             raise InvalidParameterError(f"nodes must be >= 64, got {self.nodes}")
-        if self.half_width < 10.0:
+        if not (10.0 <= self.half_width < math.inf):
             raise InvalidParameterError(
-                f"half_width must be >= 10 to cover unbounded integrands, got {self.half_width}"
+                "half_width must be finite and >= 10 to cover unbounded integrands, "
+                f"got {self.half_width}"
             )
 
 
@@ -90,13 +92,12 @@ def integrate_checked(
     b: float,
     cfg: QuadratureConfig,
     breakpoints: Iterable[float] = (),
-    tol: float = CONVERGENCE_TOL,
 ) -> float:
     """Integrate, then re-integrate with doubled nodes; raise if they disagree."""
     coarse = integrate(fn, a, b, cfg, breakpoints)
     fine_cfg = QuadratureConfig(cfg.half_width, 2 * cfg.nodes)
     fine = integrate(fn, a, b, fine_cfg, breakpoints)
-    if abs(fine - coarse) > tol * max(1.0, abs(fine)):
+    if abs(fine - coarse) > CONVERGENCE_TOL * max(1.0, abs(fine)):
         raise PrecisionFailureError(
             f"quadrature did not converge: {coarse!r} vs {fine!r} after node doubling"
         )

@@ -37,24 +37,27 @@ class NoiseSpec:
     rate: Optional[float] = None
     outlier_values: Optional[tuple[float, ...]] = None
     base: Optional["NoiseSpec"] = None
-    moment_bound: float = math.inf
 
     def __post_init__(self) -> None:
         if self.family == GAUSSIAN_MIXTURE:
             if not self.mixture:
                 raise InvalidParameterError("gaussian mixture needs components")
             weights = [w for w, _, _ in self.mixture]
-            if any(w <= 0 for w in weights) or abs(sum(weights) - 1.0) > 1e-12:
+            if not (all(w > 0 for w in weights) and abs(sum(weights) - 1.0) <= 1e-12):
                 raise InvalidParameterError("mixture weights must be positive and sum to 1")
+            if not all(math.isfinite(mu) for _, mu, _ in self.mixture):
+                raise InvalidParameterError("mixture component means must be finite")
             # Zero scale means a point mass; sampling works, density does not.
-            if any(s < 0 for _, _, s in self.mixture):
-                raise InvalidParameterError("mixture component scales must be non-negative")
+            if not all(0.0 <= s < math.inf for _, _, s in self.mixture):
+                raise InvalidParameterError(
+                    "mixture component scales must be finite and non-negative"
+                )
         elif self.family == STUDENT_T:
-            if self.df is None or self.df <= 1:
-                raise InvalidParameterError("student_t needs degrees of freedom > 1")
+            if self.df is None or not (1.0 < self.df < math.inf):
+                raise InvalidParameterError("student_t needs finite degrees of freedom > 1")
         elif self.family == SYMMETRIC_PARETO:
-            if self.tail_index is None or self.tail_index <= 1:
-                raise InvalidParameterError("symmetric_pareto needs tail index > 1")
+            if self.tail_index is None or not (1.0 < self.tail_index < math.inf):
+                raise InvalidParameterError("symmetric_pareto needs a finite tail index > 1")
         elif self.family == CONTAMINATED:
             if self.base is None:
                 raise InvalidParameterError("contaminated noise needs a base spec")
@@ -62,8 +65,21 @@ class NoiseSpec:
                 raise InvalidParameterError("contamination rate must lie in [0, 1)")
             if not self.outlier_values:
                 raise InvalidParameterError("contaminated noise needs outlier values")
+            if not all(math.isfinite(v) for v in self.outlier_values):
+                raise InvalidParameterError("outlier values must be finite")
         else:
             raise InvalidParameterError(f"unknown noise family {self.family!r}")
+
+    @property
+    def moment_bound(self) -> float:
+        """Largest power with a finite absolute moment: the df or tail index, else inf."""
+        if self.family == STUDENT_T:
+            return self.df
+        if self.family == SYMMETRIC_PARETO:
+            return self.tail_index
+        if self.family == CONTAMINATED:
+            return self.base.moment_bound
+        return math.inf
 
     # --- factories -----------------------------------------------------
     @staticmethod
@@ -71,7 +87,6 @@ class NoiseSpec:
         return NoiseSpec(
             family=GAUSSIAN_MIXTURE,
             mixture=tuple((float(w), float(m), float(s)) for w, m, s in components),
-            moment_bound=math.inf,
         )
 
     @staticmethod
@@ -80,15 +95,11 @@ class NoiseSpec:
 
     @staticmethod
     def student_t(df: float) -> "NoiseSpec":
-        return NoiseSpec(family=STUDENT_T, df=float(df), moment_bound=float(df))
+        return NoiseSpec(family=STUDENT_T, df=float(df))
 
     @staticmethod
     def symmetric_pareto(tail_index: float) -> "NoiseSpec":
-        return NoiseSpec(
-            family=SYMMETRIC_PARETO,
-            tail_index=float(tail_index),
-            moment_bound=float(tail_index),
-        )
+        return NoiseSpec(family=SYMMETRIC_PARETO, tail_index=float(tail_index))
 
     @staticmethod
     def contaminated(
@@ -99,7 +110,6 @@ class NoiseSpec:
             base=base,
             rate=float(rate),
             outlier_values=tuple(float(v) for v in outlier_values),
-            moment_bound=base.moment_bound,
         )
 
     # --- sampling and density ------------------------------------------
@@ -245,6 +255,8 @@ def truth_function(truth) -> tuple[Callable[[np.ndarray], np.ndarray], str]:
             truth = (parts[0], *[float(p) for p in parts[1:]])
         except ValueError:
             raise InvalidParameterError(f"truth {truth!r}: parameters must be numbers") from None
+    if not all(math.isfinite(float(p)) for p in truth[1:]):
+        raise InvalidParameterError(f"truth {truth!r}: parameters must be finite")
     kind = truth[0]
     if kind == "sine":
         return (lambda x: 2.0 * np.sin(math.pi * x[:, 0])), "sine"
@@ -262,6 +274,8 @@ def gen_location(n: int, truth, noise: NoiseSpec, seed: int, input_dim: int = 1)
     """Additive location model y = f*(x) + eps on uniform inputs."""
     if n < 1:
         raise InvalidParameterError("n must be positive")
+    if input_dim < 1:
+        raise InvalidParameterError(f"input_dim must be positive, got {input_dim}")
     fn, label = truth_function(truth)
     rng = generator(seed, "location", label, input_dim)
     x = rng.random((n, input_dim))

@@ -45,6 +45,14 @@ IRLS = "irls"
 GRADIENT = "gradient"
 GRID_CONSENSUS = "grid_consensus"
 
+# Backtracking line search of the gradient method: first step, shrink factor, halvings.
+_STEP_INIT = 1.0
+_STEP_SHRINK = 0.5
+_MAX_STEP_HALVINGS = 40
+# Box-gain consensus search: random candidates, then coordinate sweeps per leader.
+_CONSENSUS_SAMPLES = 4000
+_CONSENSUS_SWEEPS = 3
+
 
 @dataclass(frozen=True)
 class SolverConfig:
@@ -54,26 +62,23 @@ class SolverConfig:
     ridge: Optional[float] = None  # None: 1e-8 tr(X'WX)/p guard; 0 disables
     restarts: int = 1
     seed: int = 0
-    step_init: float = 1.0
-    step_shrink: float = 0.5
-    max_step_halvings: int = 40
     anneal: tuple[float, ...] = ()  # descending sigma stages before the target
-    consensus_samples: int = 4000
-    consensus_sweeps: int = 3
 
     def __post_init__(self) -> None:
         if self.method not in (IRLS, GRADIENT, GRID_CONSENSUS):
             raise InvalidParameterError(f"unknown method {self.method!r}")
         if self.max_iters < 1:
             raise InvalidParameterError("max_iters must be positive")
-        if not (self.tol > 0):
-            raise InvalidParameterError("tol must be positive")
-        if self.ridge is not None and self.ridge < 0:
-            raise InvalidParameterError("ridge must be non-negative")
+        if not (0.0 < self.tol < math.inf):
+            raise InvalidParameterError(f"tol must be finite and positive, got {self.tol}")
+        if self.ridge is not None and not (0.0 <= self.ridge < math.inf):
+            raise InvalidParameterError(f"ridge must be finite and non-negative, got {self.ridge}")
         if self.restarts < 1:
             raise InvalidParameterError("restarts must be positive")
-        if any(s <= 0 for s in self.anneal):
-            raise InvalidParameterError("anneal stages must be positive")
+        if not all(0.0 < s < math.inf for s in self.anneal):
+            raise InvalidParameterError(
+                f"anneal stages must be finite and positive, got {list(self.anneal)}"
+            )
 
 
 @dataclass(frozen=True)
@@ -87,7 +92,6 @@ class FitReport:
     converged: bool
     method: str
     rank: int  # dimension of the basis the fit ran in: p unless directions were dropped
-    clip_at_eval: bool = False
 
 
 def empirical_gain(
@@ -218,7 +222,7 @@ def _gradient_stage(
     gain = _mean_gain(spec, sigma, y - X @ coeffs)
     if record is not None:
         record.append(gain)
-    step = cfg.step_init
+    step = _STEP_INIT
     converged = False
     iters = 0
     for _ in range(cfg.max_iters):
@@ -229,13 +233,13 @@ def _gradient_stage(
             converged = True
             break
         accepted = False
-        for _ in range(cfg.max_step_halvings):
+        for _ in range(_MAX_STEP_HALVINGS):
             candidate = coeffs + step * grad
             cand_gain = _mean_gain(spec, sigma, y - X @ candidate)
             if cand_gain >= gain:
                 accepted = True
                 break
-            step *= cfg.step_shrink
+            step *= _STEP_SHRINK
         if not accepted:
             converged = True
             break
@@ -244,7 +248,7 @@ def _gradient_stage(
         if record is not None:
             record.append(gain)
         # Allow growth after success, capped so the step stays finite.
-        step = min(step / cfg.step_shrink, 1e9 * cfg.step_init)
+        step = min(step / _STEP_SHRINK, 1e9 * _STEP_INIT)
         if improvement <= cfg.tol * max(1.0, abs(gain)):
             converged = True
             break
@@ -300,7 +304,7 @@ def _grid_consensus(
         anchor = np.zeros(X.shape[1])
     rng = generator(cfg.seed, "consensus")
     width = 3.0 * (np.abs(anchor) + 1.0)
-    samples = rng.uniform(-1.0, 1.0, size=(cfg.consensus_samples, X.shape[1]))
+    samples = rng.uniform(-1.0, 1.0, size=(_CONSENSUS_SAMPLES, X.shape[1]))
     samples = anchor[None, :] + samples * width[None, :]
     samples[0] = anchor
     inside = np.abs(y[None, :] - samples @ X.T) <= sigma
@@ -310,7 +314,7 @@ def _grid_consensus(
     best, best_count = samples[int(top[0])], int(counts[int(top[0])])
     for idx in top:
         cand = samples[int(idx)]
-        for _ in range(cfg.consensus_sweeps):
+        for _ in range(_CONSENSUS_SWEEPS):
             cand = _consensus_coordinate_sweep(X, y, cand, sigma)
         count = _consensus_count(X, y, cand, sigma)
         if count > best_count:
@@ -369,6 +373,8 @@ def fit_egm(
         raise InvalidInputError("inputs and outputs must be finite")
 
     X = design_matrix(fmap, data.inputs)
+    if not np.all(np.isfinite(X)):
+        raise InvalidInputError("the feature map gives non-finite features")
     y = data.outputs
     p = X.shape[1]
     ridge_off = cfg.ridge == 0.0
@@ -388,12 +394,11 @@ def fit_egm(
             model=model,
             empirical_gain=gain,
             sigma=sigma,
-            iterations=cfg.consensus_sweeps,
+            iterations=_CONSENSUS_SWEEPS,
             gain_trace=(gain,),
             restart_gains=(gain,),
             converged=True,
             method=cfg.method,
-            clip_at_eval=clip,
             rank=p,
         )
 
@@ -463,15 +468,16 @@ def fit_egm(
         restart_gains=tuple(restart_gains),
         converged=converged,
         method=cfg.method,
-        clip_at_eval=clip,
         rank=Z.shape[1],
     )
 
 
 def schedule_exponent(variant: str, epsilon: float, q: float) -> float:
     """Piecewise scale exponent matched to moment order and capacity."""
-    if epsilon <= 0 or q <= 0:
-        raise InvalidParameterError("epsilon and q must be positive")
+    if not (0.0 < epsilon < math.inf and 0.0 < q < math.inf):
+        raise InvalidParameterError(
+            f"epsilon and q must be finite and positive, got epsilon = {epsilon}, q = {q}"
+        )
     e, qq = float(epsilon), float(q)
     if variant == "theta1":
         if e <= 1.0:
@@ -521,6 +527,10 @@ def kfold_select(
     """
     if folds < 2:
         raise InvalidParameterError("cross-validation needs at least 2 folds")
+    if folds > data.n:
+        raise InvalidParameterError(
+            f"{folds} folds for {data.n} observations: every fold needs one to hold out"
+        )
     if not candidates:
         raise InvalidParameterError("cross-validation needs a non-empty candidate grid")
     order = generator(seed, stream).permutation(data.n)

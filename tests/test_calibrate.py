@@ -49,12 +49,10 @@ def constant_probe() -> GainSpec:
         representing_deriv=None,
         type_alpha=None,
         type_exact=False,
-        calibration="none",
         constants=None,
         support_radius=math.inf,
         loss_scale=1.0,
         loss_sigma_exponent=0,
-        peak_value=1.0,
         formula="1",
         loss_name="none",
         loss_formula="0",

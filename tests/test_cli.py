@@ -253,3 +253,43 @@ def test_bench_toy_needs_two_folds(tmp_path, folds):
     assert proc.returncode == 1, proc.stderr
     assert "cross-validation needs at least 2 folds" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+NON_FINITE_OR_OUT_OF_RANGE = {
+    "bandwidth-nan": ["fit", "--data", "d.csv", "--gain", "gaussian", "--sigma", "1",
+                      "--features", "kernel", "--bandwidth", "nan"],
+    "bandwidth-underflow": ["fit", "--data", "d.csv", "--gain", "gaussian", "--sigma", "1",
+                            "--features", "kernel", "--bandwidth", "1e-200"],
+    "centers-cap-negative": ["fit", "--data", "d.csv", "--gain", "gaussian", "--sigma", "1",
+                             "--features", "kernel", "--bandwidth", "1", "--centers-cap", "-1"],
+    "input-dim-zero": ["simulate", "--model", "location", "--input-dim", "0", *OUT],
+    "rates-unknown-gain": ["bench", "rates", "--gain", "nosuch", *OUT],
+    "epsilon-nan": ["fit", "--data", "d.csv", "--gain", "gaussian", "--schedule", "theta1",
+                    "--epsilon", "nan", "--q", "1"],
+    "anneal-nan": ["fit", "--data", "d.csv", "--gain", "gaussian", "--sigma", "0.1",
+                   "--anneal", "nan,0.5"],
+    "ridge-nan": ["fit", "--data", "d.csv", "--gain", "gaussian", "--sigma", "1",
+                  "--ridge", "nan"],
+    "noise-sd-nan": ["simulate", "--model", "location", "--noise", "normal:0:nan", *OUT],
+    "noise-pareto-nan": ["simulate", "--model", "location", "--noise", "pareto:nan", *OUT],
+    "truth-inf": ["simulate", "--model", "location", "--truth", "linear:inf:0", *OUT],
+    "half-width-inf": ["certify", "--gain", "gaussian", "--half-width", "inf"],
+}
+
+
+@pytest.mark.parametrize("argv", list(NON_FINITE_OR_OUT_OF_RANGE.values()),
+                         ids=list(NON_FINITE_OR_OUT_OF_RANGE))
+def test_non_finite_or_out_of_range_values_exit_one(tmp_path, argv):
+    (tmp_path / "d.csv").write_text("x_0,y\n0.1,1\n0.5,2\n0.9,3\n0.3,1.5\n")
+    proc = run_process(*argv, cwd=tmp_path)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.startswith(("usage error", "invalid request")), proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_bench_toy_names_a_fold_count_above_the_rows(tmp_path):
+    proc = run_process("bench", "toy", "--n-train", "3", "--n-test", "5", "--sigmas", "10",
+                       "--folds", "5", "--out", "toy.csv", cwd=tmp_path)
+    assert proc.returncode == 1, proc.stderr
+    assert "5 folds" in proc.stderr and "3 observations" in proc.stderr, proc.stderr
+    assert "Traceback" not in proc.stderr

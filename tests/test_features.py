@@ -148,3 +148,15 @@ def test_linear_model_round_trip():
     back = gr.model_from_json(gr.model_to_json(model))
     assert np.array_equal(back.coefficients, model.coefficients)
     assert back.feature_map.kind == "linear_with_intercept"
+
+
+@pytest.mark.parametrize("bandwidth", [float("nan"), float("inf"), 1e-200, 1e200])
+def test_kernel_bandwidth_needs_a_finite_nonzero_square(bandwidth):
+    with pytest.raises(InvalidParameterError, match="bandwidth"):
+        gr.kernel_map(np.array([[0.0], [1.0]]), bandwidth)
+
+
+def test_tiny_bandwidth_gives_an_identity_dictionary():
+    # The far points' exponents overflow to inf; exp(-inf) = 0 needs no warning.
+    fmap = gr.kernel_map(np.array([[0.0], [1.0], [2.0]]), 1e-160)
+    assert np.array_equal(gr.design_matrix(fmap, fmap.centers), np.eye(3))

@@ -1,6 +1,7 @@
 """Catalog values, loss duals, weights, and structural gain properties."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -331,3 +332,19 @@ def test_l3_consistency_across_catalog(cat):
         if spec.constants is not None:
             k = spec.constants
             assert k.L3 == pytest.approx(max(k.L2 + k.c0, k.L1 / 2.0), rel=1e-15)
+
+
+def test_a_representing_function_needs_its_derivative_and_constants(cat):
+    for field in ("representing_deriv", "constants"):
+        with pytest.raises(InvalidParameterError, match="derivative and constants"):
+            replace(cat["cauchy"], **{field: None})
+    # Without a representing function the gain is uncalibrated, whatever its type.
+    assert replace(cat["epanechnikov"], representing_fn=None).calibration == "none"
+
+
+@pytest.mark.parametrize("sigma,t", [(1e300, 0.0), (1e-200, 1.0), (1.0, 1e300)])
+def test_scales_and_points_outside_the_float_range_are_rejected(cat, sigma, t):
+    # Beyond these ranges sigma^2, 1 / sigma or (t / sigma)^4 overflow a double.
+    for spec in cat.values():
+        with pytest.raises((InvalidParameterError, InvalidInputError)):
+            gr.loss_from_gain(spec, sigma, t)

@@ -344,7 +344,7 @@ def test_fit_report_fields(cat):
     assert report.sigma == 2.0
     assert report.method == "irls"
     assert report.model.M == 4.0
-    assert report.clip_at_eval is True
+    assert report.model.clip is True
     assert len(report.restart_gains) == 3
     assert report.iterations >= 1
 
@@ -358,6 +358,14 @@ def test_fit_rejects_non_finite_data(cat):
         data = gr.Dataset(inputs=inputs[:, None], outputs=outputs)
         with pytest.raises(InvalidInputError, match="finite"):
             gr.fit_egm(data, cat["gaussian"], 1.0, gr.linear_map(1))
+
+
+def test_fit_rejects_non_finite_features(cat):
+    # A saved kernel model can carry a nan center; the SVD would fail on its features.
+    data = gr.Dataset(inputs=np.linspace(0.0, 1.0, 20)[:, None], outputs=np.zeros(20))
+    fmap = gr.kernel_map(np.array([[0.0], [np.nan], [1.0]]), 0.5)
+    with pytest.raises(InvalidInputError, match="non-finite features"):
+        gr.fit_egm(data, cat["gaussian"], 1.0, fmap)
 
 
 def test_full_rank_fit_reports_full_rank(cat):
