@@ -28,6 +28,7 @@ from .solver import (
     kfold_select,
     predict_batch,
     schedule_exponent,
+    shared_rank_bases,
     sigma_schedule,
 )
 
@@ -127,10 +128,13 @@ def bench_toy(
 ) -> list[ToyFitResult]:
     train = gen_toy(n_train, seed)
     test = gen_toy(n_test, seed + 1)
-    return [
-        toy_fit_at_scale(train, test, sigma, seed, folds, restarts)
-        for sigma in sorted(float(s) for s in sigmas)
-    ]
+    # Every scale's bandwidth CV splits the same training set the same way, so
+    # the scales share those (fold, bandwidth) design matrices' rank bases.
+    with shared_rank_bases():
+        return [
+            toy_fit_at_scale(train, test, sigma, seed, folds, restarts)
+            for sigma in sorted(float(s) for s in sigmas)
+        ]
 
 
 @dataclass(frozen=True)

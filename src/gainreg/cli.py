@@ -470,7 +470,8 @@ def cmd_bench_rates(args) -> int:
 
 
 def build_parser() -> _Parser:
-    parser = _Parser(prog="gainreg", description=__doc__)
+    # No abbreviations at the top: a shortened --config would be parsed and never read.
+    parser = _Parser(prog="gainreg", description=__doc__, allow_abbrev=False)
     parser.add_argument("--config", help="JSON file of default flag values")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -570,37 +571,51 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _iter_subparsers(parser: argparse.ArgumentParser):
-    for action in parser._actions:  # noqa: SLF001 - argparse has no public walk
-        if isinstance(action, argparse._SubParsersAction):  # noqa: SLF001
-            for sub in action.choices.values():
-                yield sub
-                yield from _iter_subparsers(sub)
+def _with_config(argv: list[str]) -> list[str]:
+    """argv with a ``--config`` file's values as flags after the subcommand words.
+
+    They come before the user's own flags, so those win; ``true`` becomes a bare
+    flag, ``false`` and ``null`` leave the default, and a list becomes a comma list.
+    """
+    for idx, token in enumerate(argv):
+        if token == "--config" or token.startswith("--config="):
+            break
+    else:
+        return argv
+    inline = "=" in token
+    if inline:
+        config_path = token.partition("=")[2]
+    else:
+        config_path = argv[idx + 1] if idx + 1 < len(argv) else ""
+    if not config_path:
+        raise UsageError("--config needs a path")
+    try:
+        values = json.loads(Path(config_path).read_text(encoding="utf-8"))
+    except ValueError as exc:  # malformed JSON or undecodable bytes
+        raise UsageError(f"{config_path}: not a JSON file ({exc})") from None
+    if not isinstance(values, dict):
+        raise UsageError(f"{config_path}: expected a JSON object of flag values")
+    tokens = []
+    for key, value in values.items():
+        flag = "--" + key.replace("_", "-")
+        if value is True:
+            tokens.append(flag)
+        elif isinstance(value, list):
+            tokens.append(f"{flag}={','.join(str(v) for v in value)}")
+        elif isinstance(value, dict):
+            tokens.append(f"{flag}={json.dumps(value)}")
+        elif value is not None and value is not False:
+            tokens.append(f"{flag}={value}")
+    rest = argv[:idx] + argv[idx + (1 if inline else 2):]
+    words = 2 if rest[:1] == ["bench"] else 1  # the command, and bench's experiment
+    return rest[:words] + tokens + rest[words:]
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        # Apply config-file defaults before the real parse; flags override.
-        if "--config" in argv:
-            idx = argv.index("--config")
-            if idx + 1 == len(argv):
-                raise UsageError("--config needs a path")
-            config_path = argv[idx + 1]
-            try:
-                defaults = json.loads(Path(config_path).read_text(encoding="utf-8"))
-            except ValueError as exc:  # malformed JSON or undecodable bytes
-                raise UsageError(f"{config_path}: not a JSON file ({exc})") from None
-            if not isinstance(defaults, dict):
-                raise UsageError(f"{config_path}: expected a JSON object of flag values")
-            dests = {k.replace("-", "_"): v for k, v in defaults.items()}
-            for sub in _iter_subparsers(parser):
-                sub.set_defaults(**{k: v for k, v in dests.items() if _has_dest(sub, k)})
-                for action in sub._actions:  # noqa: SLF001
-                    if action.dest in dests:
-                        action.required = False
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_with_config(argv))
         return args.fn(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
@@ -620,11 +635,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except GainRegError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
-
-
-def _has_dest(subparser, key: str) -> bool:
-    dest = key.replace("-", "_")
-    return any(a.dest == dest for a in subparser._actions)  # noqa: SLF001
 
 
 if __name__ == "__main__":

@@ -165,18 +165,42 @@ def loss_from_gain(spec: GainSpec, sigma: float, t) -> float | np.ndarray:
 
 def irls_weight(spec: GainSpec, sigma: float, r) -> float | np.ndarray:
     """Half-quadratic weight ``w(r) = -psi'(r^2 / sigma^2)``; zero beyond support."""
+    _check_weighted(spec)
+    sigma = _check_sigma(sigma)
+    arr, scalar = _as_points(r, sigma, "r")
+    vals = _weights(spec, (arr / sigma) ** 2)
+    return float(vals) if scalar else vals
+
+
+def gain_and_weights(spec: GainSpec, sigma: float, r) -> tuple[float, np.ndarray]:
+    """Mean gain and half-quadratic weights of one residual vector, from one checked pass.
+
+    Bit-equal to ``float(np.mean(eval_gain(spec, sigma, r)))`` and
+    ``irls_weight(spec, sigma, r)``, with their errors; an out-of-range residual
+    is named as ``eval_gain`` names it.
+    """
+    _check_weighted(spec)
+    sigma = _check_sigma(sigma)
+    arr, _ = _as_points(r, sigma)
+    s = arr / sigma
+    vals = spec.generating_fn(s)
+    if spec.sigma_normalized:
+        vals = vals / sigma
+    return float(vals.sum() / vals.size), _weights(spec, s**2)
+
+
+def _check_weighted(spec: GainSpec) -> None:
     if spec.representing_deriv is None:
         raise UnsupportedOperationError(
             f"{spec.name}: half-quadratic weights need a calibrated representing function"
         )
-    sigma = _check_sigma(sigma)
-    arr, scalar = _as_points(r, sigma, "r")
-    u = (arr / sigma) ** 2
+
+
+def _weights(spec: GainSpec, u: np.ndarray) -> np.ndarray:
     vals = -spec.representing_deriv(u)
     if math.isfinite(spec.support_radius):
         vals = np.where(u < spec.support_radius**2, vals, 0.0)
-    vals = np.maximum(vals, 0.0)
-    return float(vals) if scalar else vals
+    return np.maximum(vals, 0.0)
 
 
 def _grid_sup(fn: ArrayFn, lo: float, hi: float, n: int = _CONSTANT_GRID) -> float:

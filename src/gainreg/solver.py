@@ -17,9 +17,11 @@ monotone in its own objective.
 
 from __future__ import annotations
 
+import hashlib
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -37,7 +39,7 @@ from .features import (
     design_matrix,
     predict_batch,
 )
-from .gains import GainSpec, eval_gain, eval_gain_derivative, irls_weight
+from .gains import GainSpec, eval_gain, eval_gain_derivative, gain_and_weights
 from .rng import generator
 from .simulate import Dataset
 
@@ -52,6 +54,8 @@ _MAX_STEP_HALVINGS = 40
 # Box-gain consensus search: random candidates, then coordinate sweeps per leader.
 _CONSENSUS_SAMPLES = 4000
 _CONSENSUS_SWEEPS = 3
+# Rank bases by design-matrix digest inside a shared_rank_bases() block; None outside one.
+_shared_bases: Optional[dict[tuple, Optional[np.ndarray]]] = None
 
 
 @dataclass(frozen=True)
@@ -129,8 +133,8 @@ def _weighted_solve(
     p = X.shape[1]
     Xw = X * w[:, None]
     A = X.T @ Xw
-    lam = 1e-8 * float(np.trace(A)) / features if ridge is None else float(ridge)
-    A.flat[:: p + 1] += lam
+    lam = 1e-8 * A.trace() / features if ridge is None else float(ridge)
+    A.ravel()[:: p + 1] += lam  # A is a fresh C-contiguous product, so ravel() is a view
     b = Xw.T @ y
     try:
         coeffs = np.linalg.solve(A, b)
@@ -140,7 +144,7 @@ def _weighted_solve(
                 "weighted normal equations are singular; set a positive ridge"
             ) from exc
         raise
-    if not np.all(np.isfinite(coeffs)):
+    if not np.isfinite(coeffs).all():
         raise SingularSystemError("weighted solve produced non-finite coefficients")
     return coeffs
 
@@ -155,11 +159,38 @@ def _rank_basis(X: np.ndarray) -> Optional[np.ndarray]:
     Singular values at or below s_max * max(n, p) * eps (``np.linalg.matrix_rank``'s
     default) are rounding noise: on kernel dictionaries their directions carry
     eigenvalues of X'X some 13 orders of magnitude below the auto ridge, so
-    dropping them moves no fit.  None when nothing is dropped.
+    dropping them moves no fit.  None when nothing is dropped.  Inside a
+    ``shared_rank_bases()`` block a matrix seen before reuses its basis.
     """
+    if _shared_bases is None:
+        return _svd_basis(X)
+    key = (X.shape, hashlib.blake2b(np.ascontiguousarray(X)).digest())
+    if key not in _shared_bases:
+        _shared_bases[key] = _svd_basis(X)
+    return _shared_bases[key]
+
+
+def _svd_basis(X: np.ndarray) -> Optional[np.ndarray]:
     _, s, vt = np.linalg.svd(X, full_matrices=False)
     r = int(np.sum(s > s[0] * max(X.shape) * np.finfo(float).eps))
-    return vt[:r].T if 0 < r < X.shape[1] else None
+    # Copy the r rows before transposing: the basis keeps the view's Fortran layout
+    # (so products with it round as before) without holding all of vt.
+    return vt[:r].copy().T if 0 < r < X.shape[1] else None
+
+
+@contextmanager
+def shared_rank_bases() -> Iterator[None]:
+    """Fits inside the block share the rank basis of each design matrix they repeat.
+
+    Bases are keyed by the matrix's shape and blake2b digest and dropped when the
+    block exits, on an exception too, so no state outlives it.
+    """
+    global _shared_bases
+    _shared_bases = {}
+    try:
+        yield
+    finally:
+        _shared_bases = None
 
 
 def _irls_stage(
@@ -172,16 +203,18 @@ def _irls_stage(
     record: Optional[list[float]],
     features: int,
 ) -> tuple[np.ndarray, int, bool]:
-    """Reweighted least squares at a fixed scale; returns (coeffs, iters, converged)."""
-    residuals = y - X @ coeffs
-    gain = _mean_gain(spec, sigma, residuals)
+    """Reweighted least squares at a fixed scale; returns (coeffs, iters, converged).
+
+    Each residual vector gets one checked pass for its mean gain and the weights
+    of the next solve.
+    """
+    gain, w = gain_and_weights(spec, sigma, y - X @ coeffs)
     if record is not None:
         record.append(gain)
     converged = False
     iters = 0
     for _ in range(cfg.max_iters):
         iters += 1
-        w = np.asarray(irls_weight(spec, sigma, residuals), dtype=float)
         top = w.max()
         if not (top > 0.0):
             raise DegenerateIterateError(
@@ -193,8 +226,7 @@ def _irls_stage(
             # weights guards against underflow without changing the problem.
             w = w / top
         coeffs = _weighted_solve(X, y, w, cfg.ridge, features)
-        residuals = y - X @ coeffs
-        new_gain = _mean_gain(spec, sigma, residuals)
+        new_gain, w = gain_and_weights(spec, sigma, y - X @ coeffs)
         if record is not None:
             record.append(new_gain)
         if abs(new_gain - gain) <= cfg.tol * max(1.0, abs(gain)):

@@ -1,8 +1,15 @@
 """Benchmark plumbing: schedules drive scales, errors shrink with data."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
 import pytest
 
 import gainreg as gr
+from gainreg import bench, solver
 from gainreg.bench import anneal_ladder, bench_rates, bench_toy, cross_validate_bandwidth
 
 
@@ -67,3 +74,63 @@ def test_bench_toy_output_shapes():
         assert r.curve_x.shape == (101,) and r.curve_y.shape == (101,)
         assert r.bandwidth in (0.05, 0.1, 0.2, 0.5, 1.0)
         assert r.train_gain > 0.0
+
+
+def _rows(results):
+    return [(r.sigma, r.bandwidth, r.rmse_mean_ref, r.rmse_mode_ref, r.train_gain,
+             r.curve_x.tobytes(), r.curve_y.tobytes()) for r in results]
+
+
+def test_bench_toy_scales_share_rank_bases_without_moving_a_bit(monkeypatch):
+    svds = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: svds.append(1) or svd(*a, **k))
+    args = dict(n_train=40, n_test=30, seed=3, folds=3, restarts=2)
+    alone = bench_toy(sigmas=[0.05], **args) + bench_toy(sigmas=[10.0], **args)
+    separate = len(svds)
+    svds.clear()
+    together = bench_toy(sigmas=[10.0, 0.05], **args)
+    assert _rows(together) == _rows(alone)
+    # The second scale repeats the first one's 15 (fold, bandwidth) matrices.
+    assert len(svds) <= separate - 15
+    assert solver._shared_bases is None
+
+
+def test_rank_basis_cache_ends_with_the_call_that_raised(monkeypatch):
+    seen = []
+    fit_egm = bench.fit_egm
+
+    def failing_fit(*args, **kwargs):
+        report = fit_egm(*args, **kwargs)
+        seen.append(len(solver._shared_bases))
+        if len(seen) == 4:
+            raise gr.DegenerateIterateError("stop here")
+        return report
+
+    monkeypatch.setattr(bench, "fit_egm", failing_fit)
+    with pytest.raises(gr.DegenerateIterateError, match="stop here"):
+        bench_toy(40, 30, [0.05, 10.0], seed=3, folds=3, restarts=1)
+    assert seen[-1] > 0 and solver._shared_bases is None
+    # Outside a bench_toy call nothing is cached, so a plain fit hashes nothing.
+    data = gr.gen_toy(40, 3)
+    fmap = gr.kernel_map(data.inputs, 0.5)
+    fit_egm(data, gr.catalog()["gaussian"], 1.0, fmap)
+    assert solver._shared_bases is None
+
+
+def test_bench_toy_bytes_repeat_across_fresh_interpreters(tmp_path):
+    src = str(Path(gr.__file__).resolve().parent.parent)
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src if not path else src + os.pathsep + path)
+    outputs = []
+    for tag in ("a", "b"):
+        out = tmp_path / f"toy_{tag}.csv"
+        subprocess.run(
+            [sys.executable, "-m", "gainreg.cli", "bench", "toy", "--n-train", "50",
+             "--n-test", "40", "--sigmas", "0.05,10", "--seed", "2", "--folds", "3",
+             "--restarts", "2", "--out", str(out)],
+            check=True, env=env, timeout=300,
+        )
+        meta = Path(str(out) + ".meta.json")
+        outputs.append((out.read_bytes(), meta.read_bytes()))
+    assert outputs[0] == outputs[1]

@@ -189,6 +189,69 @@ def test_config_file_defaults_and_override(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "gain 1.0"
 
 
+def _config(tmp_path, values) -> str:
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(values))
+    return str(path)
+
+
+@pytest.mark.parametrize("values,flag", [
+    ({"max_iters": 1.5}, "--max-iters"),
+    ({"seed": 1.5}, "--seed"),
+    ({"clip": 1}, "--clip"),
+    ({"sigma": True}, "--sigma"),
+    ({"nosuch": 1}, "--nosuch"),
+], ids=["float-max-iters", "float-seed", "number-for-switch", "bare-sigma", "unknown-key"])
+def test_config_values_go_through_the_flag_parser(tmp_path, values, flag):
+    # A config value is parsed as its flag would be, so a mistyped one is a usage error.
+    (tmp_path / "d.csv").write_text("x_0,y\n0.1,1\n0.5,2\n0.9,3\n")
+    proc = run_process("--config", _config(tmp_path, values), "fit", "--data", "d.csv",
+                       "--gain", "gaussian", "--sigma", "1", cwd=tmp_path)
+    assert proc.returncode == 1, proc.stderr
+    assert "usage error" in proc.stderr and flag in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_config_lists_true_flags_and_objects(tmp_path, capsys):
+    data = tmp_path / "d.csv"
+    data.write_text("x_0,y\n0.1,1\n0.5,2\n0.9,3\n0.3,1.5\n0.7,2.2\n0.2,0.9\n")
+    values = {"data": str(data), "gain": "gaussian", "cv_sigma": [1, 2], "folds": 2,
+              "clip": True, "M": 0.5, "ridge": None, "residuals": False}
+    assert run("--config", _config(tmp_path, values), "fit") == 0
+    out = capsys.readouterr().out
+    assert "cv sigma=1.0 " in out and "cv sigma=2.0 " in out
+    # --clip with M = 0.5 bounds every prediction.
+    residuals = tmp_path / "r.csv"
+    assert run("--config", _config(tmp_path, values), "fit", "--residuals", str(residuals)) == 0
+    predictions = [float(line.split(",")[1]) for line in residuals.read_text().splitlines()[1:]]
+    assert max(abs(p) for p in predictions) <= 0.5
+
+    noise = {"family": "student_t", "df": 3}
+    sim = tmp_path / "sim.csv"
+    values = {"model": "location", "n": 20, "noise": noise, "out": str(sim)}
+    assert run("--config", _config(tmp_path, values), "simulate") == 0
+    assert json.loads(Path(str(sim) + ".meta.json").read_text())["noise"]["df"] == 3
+
+
+def test_config_path_may_follow_an_equals_sign_but_not_be_shortened(tmp_path, capsys):
+    path = _config(tmp_path, {"sigma": 2.0, "t": 1.0, "derivative": True})
+    assert run(f"--config={path}", "eval", "--gain", "epanechnikov") == 0
+    assert capsys.readouterr().out.split() == ["gain", "0.75", "derivative", "-0.5"]
+    # A shortened --config used to be parsed and never read.
+    assert run("--conf", path, "eval", "--gain", "epanechnikov", "--sigma", "1", "--t", "0") == 1
+    assert run("--config=", "eval", "--gain", "epanechnikov") == 1
+
+
+def test_config_reaches_bench_toy_after_both_words(tmp_path):
+    values = {"sigmas": [10, 0.5], "n_train": 30, "n_test": 20, "folds": 2, "restarts": 1}
+    out = tmp_path / "toy.csv"
+    assert run("--config", _config(tmp_path, values), "bench", "toy", "--out", str(out),
+               "--n-test", "25") == 0
+    meta = json.loads(Path(str(out) + ".meta.json").read_text())
+    assert meta["sigmas"] == [0.5, 10.0] and meta["n_train"] == 30
+    assert meta["n_test"] == 25  # the command line beats the config
+
+
 @pytest.mark.parametrize("body", [
     "x_0,y\n0.5,1\n0.25\n",
     "x_0,y\n0.5,1,2\n",

@@ -2,9 +2,11 @@
 
 Outside input may end in any exit code of the contract (0 success, 1 usage,
 2 runtime, 3 certification) but never in an exception; pytest turns a
-RuntimeWarning into one.  Sizes stay small (n <= 50; at most 20 iterations,
+RuntimeWarning into one.  A ``--config`` file reaches the same flags.  Sizes stay small (n <= 50; at most 20 iterations,
 restarts and folds) so the module runs in a few seconds.
 """
+
+import json
 
 import pytest
 from hypothesis import given, settings
@@ -110,4 +112,37 @@ def test_fit_flag_values_keep_the_exit_codes(workdir, draws, gain, kernel, sched
         argv += ["--features", "kernel"]
     if schedule is not None:
         argv += ["--schedule", schedule]
+    assert main(argv) in CODES
+
+
+# JSON values a config file may hold: numbers (NaN and infinities too, which
+# Python's json reads), booleans, null, strings, lists and objects.
+JSON_VALUES = st.one_of(
+    st.floats(),
+    st.integers(min_value=-3, max_value=10**6),
+    st.booleans(),
+    st.none(),
+    st.sampled_from(["abc", "", "1,2", "nan", "-1", "0.5", "kernel", "gradient", "theta1"]),
+    st.lists(st.floats(min_value=-10.0, max_value=10.0), max_size=3),
+    st.dictionaries(st.sampled_from(["family", "df"]), st.integers(0, 3), max_size=2),
+)
+CONFIG_KEYS = [flag[2:] for flag in FIT_FLAGS] + [
+    "max_iters", "cv_sigma", "centers_cap", "seed", "clip", "features", "method",
+    "schedule", "gain", "data", "nosuch",
+]
+CAPPED = ("max_iters", "max-iters", "restarts", "folds", "centers_cap", "centers-cap")
+
+
+@given(values=st.dictionaries(st.sampled_from(CONFIG_KEYS), JSON_VALUES, max_size=6),
+       gain=st.sampled_from(["gaussian", "uniform", "laplace", "epanechnikov"]))
+def test_config_file_values_keep_the_exit_codes(workdir, values, gain):
+    for key in CAPPED:
+        value = values.get(key)
+        if isinstance(value, int) and not isinstance(value, bool) and value > 20:
+            values[key] = 20  # keeps each example cheap, as for the flags
+    path = workdir / "config.json"
+    path.write_text(json.dumps(values))
+    argv = ["--config", str(path), "fit", "--data", str(workdir / "d.csv"), "--gain", gain]
+    if "sigma" not in values and "cv_sigma" not in values:
+        argv += ["--sigma", "1"]
     assert main(argv) in CODES

@@ -197,6 +197,8 @@ def test_irls_weight_examples(cat):
     for name in ["laplace", "uniform", "tricube", "triangular"]:
         with pytest.raises(UnsupportedOperationError):
             gr.irls_weight(cat[name], 1.0, 0.5)
+        with pytest.raises(UnsupportedOperationError):
+            gr.gain_and_weights(cat[name], 1.0, np.array([0.5]))
 
 
 @pytest.mark.parametrize("name", TYPE2)
@@ -348,3 +350,56 @@ def test_scales_and_points_outside_the_float_range_are_rejected(cat, sigma, t):
     for spec in cat.values():
         with pytest.raises((InvalidParameterError, InvalidInputError)):
             gr.loss_from_gain(spec, sigma, t)
+
+
+def _weighted_specs(cat):
+    """Every gain with half-quadratic weights: the calibrated catalog entries, four
+    members of the Tukey m = 2 family and two mixtures."""
+    return (
+        [spec for spec in cat.values() if spec.calibration != "none"]
+        + [gr.generalized_tukey(2, n) for n in (1, 2, 3, 5)]
+        + [gr.mixture_gain([(0.6, 1.0), (0.4, 2.0)]),
+           gr.mixture_gain([(0.3, 0.7), (0.7, 2.5)])]
+    )
+
+
+@pytest.mark.parametrize("sigma", [1.3, 2, 1e-3, 1e4])
+def test_gain_and_weights_is_bit_equal_to_the_two_calls(cat, sigma):
+    # Zeros of both signs, the support edge, tiny and large residuals.
+    r = sigma * np.array([0.0, -0.0, 1.0, -1.0, 1e-320, -1e-300, 1e-8, 0.37, -0.99,
+                          1.0 - 1e-16, 2.5, -40.0, 1e40, -1e50])
+    specs = _weighted_specs(cat)
+    assert len(specs) == 12
+    for spec in specs:
+        for sample in (r, r[:1], r[2:7]):
+            gain, w = gr.gain_and_weights(spec, sigma, sample)
+            assert type(gain) is float
+            assert gain == float(np.mean(gr.eval_gain(spec, sigma, sample))), spec.name
+            expected = gr.irls_weight(spec, sigma, sample)
+            assert w.dtype == expected.dtype and w.shape == expected.shape
+            assert w.tobytes() == expected.tobytes(), spec.name
+
+
+@pytest.mark.parametrize("sigma,r,error", [
+    (0.0, [0.5], InvalidParameterError),
+    (-1.0, [0.5], InvalidParameterError),
+    (math.nan, [0.5], InvalidParameterError),
+    (1e101, [0.5], InvalidParameterError),
+    ("1", [0.5], InvalidParameterError),
+    (1.0, [0.5, math.nan], InvalidInputError),
+    (1.0, [math.inf, 0.5], InvalidInputError),
+    (1.0, [-math.inf], InvalidInputError),
+    (2.0, [0.0, 2.0001e50], InvalidInputError),
+], ids=["zero", "negative", "nan-sigma", "huge-sigma", "string", "nan", "inf", "-inf",
+        "beyond-1e50-sigma"])
+def test_gain_and_weights_raise_as_the_two_calls(cat, sigma, r, error):
+    spec = cat["cauchy"]
+    messages = []
+    for fn in (gr.eval_gain, gr.irls_weight, gr.gain_and_weights):
+        with pytest.raises(error) as info:
+            fn(spec, sigma, np.array(r))
+        messages.append(str(info.value))
+    # The fused pass names a bad residual as eval_gain does, which the fit loop saw first.
+    assert messages[2] == messages[0]
+    if error is InvalidParameterError:
+        assert messages[1] == messages[0]

@@ -440,3 +440,36 @@ def test_kernel_fit_save_load_warm_start(tmp_path, capsys, cat):
     assert report.gain_trace[0] == pytest.approx(
         gr.empirical_gain(m1, data, cat["gaussian"], 1.0), rel=1e-12
     )
+
+
+def _outlier_data(curve, seed):
+    rng = np.random.default_rng(seed)
+    x = rng.random(80)
+    y = curve(x) + 0.2 * rng.standard_normal(80)
+    y[:8] += 6.0  # a cluster of outliers the bounded gain discounts
+    return gr.Dataset(inputs=x[:, None], outputs=y)
+
+
+@pytest.mark.parametrize("map_kind", ["linear", "kernel"])
+@pytest.mark.parametrize("name", ["gaussian", "cauchy", "triweight"])
+def test_irls_and_gradient_reach_the_same_stationary_point(cat, map_kind, name):
+    # Two solvers, one objective: from the same least-squares anchor both must stop
+    # where the gain's gradient vanishes, at the same gain.
+    if map_kind == "linear":
+        data = _outlier_data(lambda x: 1.5 * x - 0.5, seed=3)
+        fmap = gr.linear_map(1)
+    else:
+        data = _outlier_data(lambda x: np.sin(2.0 * np.pi * x), seed=4)
+        fmap = gr.kernel_map(np.linspace(0.0, 1.0, 4)[:, None], 0.15)
+    spec, sigma, tol = cat[name], 1.0, 1e-6
+    reports = [
+        gr.fit_egm(data, spec, sigma, fmap,
+                   gr.SolverConfig(method=method, ridge=0.0, max_iters=2000, tol=1e-15))
+        for method in ("irls", "gradient")
+    ]
+    for report in reports:
+        assert report.converged and report.rank == fmap.feature_count
+        assert np.linalg.norm(gr.gain_gradient(report.model, data, spec, sigma)) <= tol
+    irls, gradient = reports
+    assert abs(irls.empirical_gain - gradient.empirical_gain) <= 1e-8
+    assert np.allclose(irls.model.coefficients, gradient.model.coefficients, atol=1e-5)
