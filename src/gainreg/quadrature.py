@@ -9,7 +9,6 @@ is the convergence diagnostic every reported quantity relies on.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterable
@@ -32,10 +31,12 @@ class QuadratureConfig:
     def __post_init__(self) -> None:
         if self.nodes < 64:
             raise InvalidParameterError(f"nodes must be >= 64, got {self.nodes}")
-        if not (10.0 <= self.half_width < math.inf):
+        # At least 10 to cover unbounded integrands; at most the 1e50 scale units
+        # within which gains are evaluated, where their arithmetic stays finite.
+        if not (10.0 <= self.half_width <= 1e50):
             raise InvalidParameterError(
-                "half_width must be finite and >= 10 to cover unbounded integrands, "
-                f"got {self.half_width}"
+                "half_width must be finite, >= 10 to cover unbounded integrands and "
+                f"<= 1e50, got {self.half_width}"
             )
 
 

@@ -162,12 +162,13 @@ def _rank_basis(X: np.ndarray) -> Optional[np.ndarray]:
     dropping them moves no fit.  None when nothing is dropped.  Inside a
     ``shared_rank_bases()`` block a matrix seen before reuses its basis.
     """
-    if _shared_bases is None:
+    cache = _shared_bases  # read once: another thread's block may end meanwhile
+    if cache is None:
         return _svd_basis(X)
     key = (X.shape, hashlib.blake2b(np.ascontiguousarray(X)).digest())
-    if key not in _shared_bases:
-        _shared_bases[key] = _svd_basis(X)
-    return _shared_bases[key]
+    if key not in cache:
+        cache[key] = _svd_basis(X)
+    return cache[key]
 
 
 def _svd_basis(X: np.ndarray) -> Optional[np.ndarray]:
@@ -183,9 +184,13 @@ def shared_rank_bases() -> Iterator[None]:
     """Fits inside the block share the rank basis of each design matrix they repeat.
 
     Bases are keyed by the matrix's shape and blake2b digest and dropped when the
-    block exits, on an exception too, so no state outlives it.
+    outermost block exits, on an exception too, so no state outlives it.  A block
+    opened inside another one uses and keeps the enclosing block's bases.
     """
     global _shared_bases
+    if _shared_bases is not None:
+        yield
+        return
     _shared_bases = {}
     try:
         yield
@@ -547,15 +552,19 @@ def kfold_select(
     data: Dataset,
     spec: GainSpec,
     candidates: Sequence[float],
-    fit: Callable[[Dataset, float], FitReport],
+    fit: Callable[[Dataset, float], Sequence[FitReport]],
     folds: int,
     seed: int,
     stream: str,
-) -> tuple[float, list[tuple[float, float]]]:
+    mapper: Callable = map,
+) -> list[tuple[float, list[tuple[float, float]]]]:
     """K-fold choice among candidates by mean held-out gain; ties go to the larger one.
 
-    ``fit(train, candidate)`` fits a training split; its held-out split is
-    scored at the fit's own scale.  Folds deal a ``stream``-keyed shuffle round-robin.
+    ``fit(train, candidate)`` fits a training split and returns one report per
+    scale; each scale's held-out split is scored at its report's own scale, and
+    each scale gets its own (best candidate, table).  Folds deal a
+    ``stream``-keyed shuffle round-robin.  ``mapper(task, indices)`` runs the
+    (candidate, fold) tasks and gives their scores in task order.
     """
     if folds < 2:
         raise InvalidParameterError("cross-validation needs at least 2 folds")
@@ -567,15 +576,21 @@ def kfold_select(
         raise InvalidParameterError("cross-validation needs a non-empty candidate grid")
     order = generator(seed, stream).permutation(data.n)
     parts = [order[k::folds] for k in range(folds)]
-    table: list[tuple[float, float]] = []
-    for candidate in candidates:
-        scores = []
-        for held in parts:
-            report = fit(_subset(data, np.setdiff1d(np.arange(data.n), held)), candidate)
-            scores.append(empirical_gain(report.model, _subset(data, held), spec, report.sigma))
-        table.append((candidate, float(np.mean(scores))))
-    best = max(table, key=lambda row: (row[1], row[0]))  # best score, then larger candidate
-    return best[0], table
+
+    def score(task: int) -> list[float]:
+        candidate, held = candidates[task // folds], parts[task % folds]
+        reports = fit(_subset(data, np.setdiff1d(np.arange(data.n), held)), candidate)
+        return [empirical_gain(r.model, _subset(data, held), spec, r.sigma) for r in reports]
+
+    scores = list(mapper(score, range(len(candidates) * folds)))
+    by_candidate = [scores[i * folds:(i + 1) * folds] for i in range(len(candidates))]
+    choices = []
+    for scale in range(len(scores[0])):
+        table = [(candidate, float(np.mean([fold[scale] for fold in rows])))
+                 for candidate, rows in zip(candidates, by_candidate)]
+        best = max(table, key=lambda row: (row[1], row[0]))  # best score, then larger candidate
+        choices.append((best[0], table))
+    return choices
 
 
 def cross_validate_sigma(
@@ -592,7 +607,7 @@ def cross_validate_sigma(
     if any(s <= 0 for s in grid):
         raise InvalidParameterError("sigma grid must be positive")
 
-    def fit(train: Dataset, sigma: float) -> FitReport:
-        return fit_egm(train, spec, sigma, fmap, cfg)
+    def fit(train: Dataset, sigma: float) -> list[FitReport]:
+        return [fit_egm(train, spec, sigma, fmap, cfg)]
 
-    return kfold_select(data, spec, grid, fit, folds, seed, "cv-shuffle")
+    return kfold_select(data, spec, grid, fit, folds, seed, "cv-shuffle")[0]

@@ -392,3 +392,12 @@ def test_certify_gain_rows(cat, quad):
     assert all(r["passed"] for r in rows)
     rows = gr.calibrate.certify_gain(cat["laplace"], quad)
     assert {r["check"] for r in rows} == {"axioms", "type_alpha"}
+
+
+def test_quadrature_half_width_stays_where_gains_are_evaluated():
+    # Integrands are evaluated at up to half_width scale units, and gains only
+    # within 1e50 of 0; beyond that their squares overflow.
+    assert gr.QuadratureConfig(half_width=1e50).half_width == 1e50
+    for half_width in (1e51, 1e300, math.inf, math.nan):
+        with pytest.raises(InvalidParameterError, match="half_width"):
+            gr.QuadratureConfig(half_width=half_width)

@@ -1,6 +1,7 @@
 """CLI surfaces: formats, determinism, exit codes, config files."""
 
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 
 import gainreg as gr
+from gainreg import bench
 from gainreg.cli import main
 
 
@@ -356,3 +358,27 @@ def test_bench_toy_names_a_fold_count_above_the_rows(tmp_path):
     assert proc.returncode == 1, proc.stderr
     assert "5 folds" in proc.stderr and "3 observations" in proc.stderr, proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("error, code", [(gr.DegenerateIterateError, 2),
+                                         (gr.InvalidParameterError, 1)])
+def test_bench_toy_error_in_a_worker_keeps_its_exit_code(tmp_path, monkeypatch, capfd,
+                                                         error, code):
+    # Two CPUs and one BLAS thread, so the fits run in forked workers; the error
+    # is raised only there.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    parent = os.getpid()
+    fit_egm = bench.fit_egm
+
+    def failing_fit(*args, **kwargs):
+        if os.getpid() != parent:
+            raise error("raised in a worker")
+        return fit_egm(*args, **kwargs)
+
+    monkeypatch.setattr(bench, "fit_egm", failing_fit)
+    assert run("bench", "toy", "--n-train", "30", "--n-test", "20", "--sigmas", "10",
+               "--folds", "3", "--restarts", "1", "--out", str(tmp_path / "toy.csv")) == code
+    err = capfd.readouterr().err
+    assert "raised in a worker" in err and "Traceback" not in err, err
+    assert multiprocessing.active_children() == []

@@ -160,3 +160,17 @@ def test_tiny_bandwidth_gives_an_identity_dictionary():
     # The far points' exponents overflow to inf; exp(-inf) = 0 needs no warning.
     fmap = gr.kernel_map(np.array([[0.0], [1.0], [2.0]]), 1e-160)
     assert np.array_equal(gr.design_matrix(fmap, fmap.centers), np.eye(3))
+
+
+def test_kernel_features_of_coordinates_whose_squares_overflow():
+    # |x|^2 overflows beyond about 1.3e154; the kernel is still defined there.
+    big = 1.3407807929942597e154
+    fmap = gr.kernel_map(np.array([[big], [0.5]]), 0.5)
+    X = gr.design_matrix(fmap, np.array([[0.5], [1e200], [big]]))
+    assert np.array_equal(X, [[0.0, 1.0], [0.0, 0.0], [1.0, 0.0]])
+    # Ordinary coordinates keep the expanded form, bit for bit.
+    x = np.linspace(0.0, 1.0, 7)[:, None]
+    c = x[::2]
+    expanded = np.sum(x**2, axis=1)[:, None] - 2.0 * x @ c.T + np.sum(c**2, axis=1)[None, :]
+    assert np.array_equal(gr.design_matrix(gr.kernel_map(c, 0.3), x),
+                          np.exp(-np.maximum(expanded, 0.0) / (2.0 * 0.3**2)))

@@ -3,7 +3,9 @@
 Outside input may end in any exit code of the contract (0 success, 1 usage,
 2 runtime, 3 certification) but never in an exception; pytest turns a
 RuntimeWarning into one.  A ``--config`` file reaches the same flags.  Sizes stay small (n <= 50; at most 20 iterations,
-restarts and folds) so the module runs in a few seconds.
+restarts and folds, at most 3 for the benchmarks; ``--nodes`` from the small
+values) so the module runs in a few seconds, although each ``bench toy``
+example forks its workers.
 """
 
 import json
@@ -145,4 +147,83 @@ def test_config_file_values_keep_the_exit_codes(workdir, values, gain):
     argv = ["--config", str(path), "fit", "--data", str(workdir / "d.csv"), "--gain", gain]
     if "sigma" not in values and "cv_sigma" not in values:
         argv += ["--sigma", "1"]
+    assert main(argv) in CODES
+
+
+def _cap(draws, flags, top):
+    for flag in flags:
+        value = draws.get(flag)
+        if value is not None and value.lstrip("-").isdigit() and int(value) > top:
+            draws[flag] = str(top)
+
+
+# --nodes below 64 is rejected; these keep some examples above it without a large count.
+NODES = st.one_of(VALUES, st.sampled_from(["64", "100", "256", "1000"]))
+
+
+@settings(max_examples=25)
+@given(draws=st.fixed_dictionaries({}, optional={"--half-width": VALUES, "--nodes": NODES}),
+       gain=st.sampled_from(["gaussian", "cauchy", "uniform", "laplace", "tricube", "nosuch",
+                             None]),
+       sandwich=st.booleans())
+def test_certify_flag_values_keep_the_exit_codes(workdir, draws, gain, sandwich):
+    argv = _argv(["certify", "--out", str(workdir / "certify.csv")], draws)
+    if gain is not None:
+        argv += ["--gain", gain]
+    if sandwich:
+        argv.append("--sandwich")
+    assert main(argv) in CODES
+
+
+MODEL = {"kind": "kernel_dictionary", "bandwidth": 0.5, "centers": [[0.1], [0.5], [0.9]],
+         "coefficients": [1.0, -2.0, 0.5], "input_dim": 1, "M": 3.0, "clip": False}
+
+
+@settings(max_examples=100)
+@given(values=st.dictionaries(st.sampled_from(sorted(MODEL) + ["nosuch"]),
+                              JSON_VALUES | st.sampled_from(["kernel_dictionary",
+                                                             "linear_with_intercept"]),
+                              max_size=4),
+       drop=st.sets(st.sampled_from(sorted(MODEL)), max_size=2))
+def test_predict_on_saved_model_values_keeps_the_exit_codes(workdir, values, drop):
+    model = {key: value for key, value in MODEL.items() if key not in drop}
+    model.update(values)
+    path = workdir / "model.json"
+    path.write_text(json.dumps(model))
+    argv = ["predict", "--model", str(path), "--data", str(workdir / "d.csv"),
+            "--out", str(workdir / "predictions.csv")]
+    assert main(argv) in CODES
+
+
+BENCH_TOY_FLAGS = ["--n-train", "--n-test", "--sigmas", "--seed", "--folds", "--restarts"]
+
+
+@settings(max_examples=12)
+@given(draws=st.fixed_dictionaries({}, optional={f: VALUES for f in BENCH_TOY_FLAGS}))
+def test_bench_toy_flag_values_keep_the_exit_codes(workdir, draws):
+    draws.setdefault("--n-train", "20")
+    draws.setdefault("--n-test", "20")
+    _cap(draws, ["--n-train", "--n-test"], 50)
+    _cap(draws, ["--folds", "--restarts"], 3)
+    argv = _argv(["bench", "toy", "--out", str(workdir / "toy.csv")], draws)
+    assert main(argv) in CODES
+
+
+BENCH_RATES_FLAGS = ["--epsilon", "--q", "--n-list", "--reps", "--seed", "--restarts",
+                     "--truth", "--noise"]
+
+
+@settings(max_examples=25)
+@given(draws=st.fixed_dictionaries({}, optional={f: VALUES for f in BENCH_RATES_FLAGS}),
+       gain=st.sampled_from(["triweight", "gaussian", "uniform", "laplace", "nosuch"]),
+       schedule=st.sampled_from(["theta1", "theta2"]))
+def test_bench_rates_flag_values_keep_the_exit_codes(workdir, draws, gain, schedule):
+    draws.setdefault("--n-list", "20,40")
+    draws["--n-list"] = ",".join(
+        "50" if v.lstrip("-").isdigit() and int(v) > 50 else v for v in draws["--n-list"].split(",")
+    )
+    _cap(draws, ["--reps", "--restarts"], 3)
+    draws.setdefault("--reps", "2")
+    argv = _argv(["bench", "rates", "--gain", gain, "--schedule", schedule,
+                  "--out", str(workdir / "rates.csv")], draws)
     assert main(argv) in CODES

@@ -410,6 +410,36 @@ def test_rank_basis_matches_full_basis_solves(cat):
     assert rel(X @ report.model.coefficients, X @ one_step) <= 1e-8
 
 
+def test_rank_basis_survives_a_block_ending_in_another_thread(monkeypatch):
+    # Another thread leaving its block while this one computes a basis sets the
+    # global to None between the lookup and the store; the basis still comes back.
+    X = gr.design_matrix(gr.kernel_map(kernel_data().inputs, 1.0), kernel_data().inputs)
+    svd_basis = solver._svd_basis
+
+    def block_ends_meanwhile(X):
+        basis = svd_basis(X)
+        solver._shared_bases = None
+        return basis
+
+    monkeypatch.setattr(solver, "_svd_basis", block_ends_meanwhile)
+    with solver.shared_rank_bases():
+        basis = solver._rank_basis(X)
+    assert basis is not None and np.array_equal(basis, svd_basis(X))
+    assert solver._shared_bases is None
+
+
+def test_a_nested_block_keeps_the_enclosing_bases():
+    X = gr.design_matrix(gr.kernel_map(kernel_data().inputs, 1.0), kernel_data().inputs)
+    with solver.shared_rank_bases():
+        outer = solver._shared_bases
+        with solver.shared_rank_bases():
+            assert solver._shared_bases is outer
+            basis = solver._rank_basis(X)
+        assert solver._shared_bases is outer and len(outer) == 1
+        assert solver._rank_basis(X) is basis
+    assert solver._shared_bases is None
+
+
 def test_kernel_fit_save_load_warm_start(tmp_path, capsys, cat):
     # The saved coefficients lie in the rank basis, so a warm start from them
     # begins exactly at the saved model and stays at its optimum.
