@@ -21,17 +21,28 @@ import numpy as np
 
 from .errors import (
     CertificationFailureError,
+    InvalidInputError,
     InvalidParameterError,
     UnsupportedOperationError,
 )
 from .gains import DECLARED_HEADROOM, GainSpec, eval_gain
-from .quadrature import QuadratureConfig, integrate, integrate_checked, nodes_weights
+from .quadrature import (
+    QuadratureConfig,
+    gauss_legendre_rule,
+    integrate,
+    integrate_checked,
+    nodes_weights,
+)
 
 DENSITY_NORM_TOL = 1e-8
 # Grid points of the finite-difference supremum searches behind the Lipschitz estimates.
 _LIPSCHITZ_GRID = 200_001
 # Cosine quadrature of an unbounded gain without a closed form runs over this many sigmas.
 _FOURIER_HALF_WIDTH = 20.0
+# Rows of cosines per block of a quadrature transform: 2 MiB at 2^14 nodes, to stay
+# in a core's L2 cache.  Under OpenBLAS, blocks of 4 to 128 rows give each row the
+# bits of one whole-grid product; blocks of 2 rows do not.
+_FOURIER_BLOCK = 16
 
 
 @dataclass(frozen=True)
@@ -343,9 +354,12 @@ def fourier_transform(spec: GainSpec, sigma: float, xi: np.ndarray) -> np.ndarra
 
     The spec's closed form when it has one; otherwise direct cosine quadrature
     over the exact support of a compact gain, or over ``20 * sigma`` with 2^14
-    nodes for an unbounded one.
+    nodes for an unbounded one.  The transform is even, so the quadrature runs
+    once per distinct ``|xi|``, block by block through one reused buffer.
     """
     xi = np.asarray(xi, dtype=float)
+    if not np.all(np.isfinite(xi)):
+        raise InvalidInputError("xi must be finite")
     if spec.fourier is not None:
         return spec.fourier(sigma, xi)
 
@@ -353,12 +367,15 @@ def fourier_transform(spec: GainSpec, sigma: float, xi: np.ndarray) -> np.ndarra
     t_max = radius * sigma if math.isfinite(radius) else _FOURIER_HALF_WIDTH * sigma
     t, w = nodes_weights(-t_max, t_max, 2**14, [0.0])
     pw = eval_gain(spec, sigma, t) * w
-    chunk = 256
-    flat = xi.ravel()
-    res = np.empty(flat.shape, dtype=float)
-    for i in range(0, flat.size, chunk):
-        res[i : i + chunk] = np.cos(np.outer(flat[i : i + chunk], t)) @ pw
-    return res.reshape(xi.shape)
+    mags, back = np.unique(np.abs(xi.ravel()), return_inverse=True)
+    res = np.empty(mags.shape, dtype=float)
+    buf = np.empty((min(_FOURIER_BLOCK, mags.size), t.size))
+    for i in range(0, mags.size, _FOURIER_BLOCK):
+        block = buf[: mags.size - i]
+        np.multiply.outer(mags[i : i + _FOURIER_BLOCK], t, out=block)
+        np.cos(block, out=block)
+        res[i : i + _FOURIER_BLOCK] = block @ pw
+    return res[back].reshape(xi.shape)
 
 
 @dataclass(frozen=True)
@@ -399,8 +416,12 @@ def sandwich_check(
     the Fourier integral (c/pi^3) * int_{|xi| <= pi/2M} xi^2 |phat(xi)|^2,
     the upper constant 2 p_sigma(0) L1 / sigma (calibrated gains only).
     """
-    if M <= 0:
-        raise InvalidParameterError("M must be positive")
+    if not (math.isfinite(M) and M > 0):
+        raise InvalidParameterError(f"M must be finite and positive, got {M}")
+    if not math.isfinite(sigma):
+        raise InvalidParameterError(f"sigma must be finite, got {sigma}")
+    if not all(math.isfinite(d) for d in delta_grid):
+        raise InvalidParameterError("sandwich offsets must be finite")
     if any(abs(d) > 2.0 * M for d in delta_grid):
         raise InvalidParameterError("sandwich offsets must satisfy |delta| <= 2M")
     radius = spec.support_radius
@@ -412,7 +433,7 @@ def sandwich_check(
     c_norm = 1.0 / gain_mass(spec, sigma, quad)
 
     xi_max = math.pi / (2.0 * M)
-    xi, w = np.polynomial.legendre.leggauss(256)
+    xi, w = gauss_legendre_rule(256)
     xi = xi * xi_max
     w = w * xi_max
     phat = fourier_transform(spec, sigma, xi)

@@ -41,8 +41,12 @@ class QuadratureConfig:
 
 
 @lru_cache(maxsize=None)
-def _gl_reference(order: int) -> tuple[np.ndarray, np.ndarray]:
+def gauss_legendre_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1], computed once per order."""
     x, w = np.polynomial.legendre.leggauss(order)
+    # Shared by every later caller: read-only, so no caller can corrupt them.
+    x.flags.writeable = False
+    w.flags.writeable = False
     return x, w
 
 
@@ -58,7 +62,7 @@ def nodes_weights(
     """Composite Gauss-Legendre nodes and weights on [a, b], panels split at breakpoints."""
     segs = _segments(a, b, breakpoints)
     per_seg = max(nodes // max(len(segs), 1), _GL_ORDER)
-    xr, wr = _gl_reference(_GL_ORDER)
+    xr, wr = gauss_legendre_rule(_GL_ORDER)
     xs, ws = [], []
     for lo, hi in segs:
         panels = max(per_seg // _GL_ORDER, 1)

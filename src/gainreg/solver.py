@@ -54,6 +54,8 @@ _MAX_STEP_HALVINGS = 40
 # Box-gain consensus search: random candidates, then coordinate sweeps per leader.
 _CONSENSUS_SAMPLES = 4000
 _CONSENSUS_SWEEPS = 3
+# Candidates whose residuals are counted at a time, through one reused buffer.
+_CONSENSUS_BLOCK = 256
 # Rank bases by design-matrix digest inside a shared_rank_bases() block; None outside one.
 _shared_bases: Optional[dict[tuple, Optional[np.ndarray]]] = None
 
@@ -344,8 +346,14 @@ def _grid_consensus(
     samples = rng.uniform(-1.0, 1.0, size=(_CONSENSUS_SAMPLES, X.shape[1]))
     samples = anchor[None, :] + samples * width[None, :]
     samples[0] = anchor
-    inside = np.abs(y[None, :] - samples @ X.T) <= sigma
-    counts = inside.sum(axis=1)
+    counts = np.empty(_CONSENSUS_SAMPLES, dtype=np.intp)
+    buf = np.empty((_CONSENSUS_BLOCK, y.size))
+    for i in range(0, _CONSENSUS_SAMPLES, _CONSENSUS_BLOCK):
+        block = buf[: _CONSENSUS_SAMPLES - i]
+        np.matmul(samples[i : i + _CONSENSUS_BLOCK], X.T, out=block)
+        np.subtract(y, block, out=block)
+        np.abs(block, out=block)
+        counts[i : i + _CONSENSUS_BLOCK] = np.count_nonzero(block <= sigma, axis=1)
     # Refine several leading candidates; a single basin can trap the sweep.
     top = np.argsort(-counts)[:8]
     best, best_count = samples[int(top[0])], int(counts[int(top[0])])

@@ -5,6 +5,7 @@ implementation existed; the formulas appear next to each value.
 """
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -13,11 +14,13 @@ import pytest
 import gainreg as gr
 from gainreg.calibrate import DECLARED_HEADROOM, gain_mass
 from gainreg.errors import (
+    InvalidInputError,
     InvalidParameterError,
     PrecisionFailureError,
     UnsupportedOperationError,
 )
 from gainreg.gains import GainSpec
+from gainreg.quadrature import gauss_legendre_rule, nodes_weights
 
 TABLE_GAINS = ["triweight", "epanechnikov", "cauchy", "gaussian", "cosine"]
 
@@ -332,6 +335,66 @@ def test_fourier_transform_analytic_families(cat):
     )
 
 
+def _one_block_transform(spec, sigma, xi):
+    # The cosine quadrature as one matrix over the whole xi grid and one product.
+    t_max = spec.support_radius * sigma
+    t, w = nodes_weights(-t_max, t_max, 2**14, [0.0])
+    return np.cos(np.outer(xi, t)) @ (gr.eval_gain(spec, sigma, t) * w)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    ["triweight", "cosine", gr.generalized_tukey(3, 2)],
+    ids=["triweight", "cosine", "tukey_3_2"],
+)
+def test_fourier_transform_matches_one_cosine_matrix_bit_for_bit(cat, spec):
+    spec = cat[spec] if isinstance(spec, str) else spec
+    assert spec.fourier is None and math.isfinite(spec.support_radius)
+    # The sandwich's grid at M = 1: each |xi| twice, once with each sign.
+    xi = gauss_legendre_rule(256)[0] * (math.pi / 2.0)
+    want = _one_block_transform(spec, 1.0, xi)
+    assert np.array_equal(gr.fourier_transform(spec, 1.0, xi), want)
+
+
+def test_fourier_transform_is_even_and_keeps_the_shape(cat):
+    spec = cat["triweight"]
+    xi = np.array([[0.3, -0.3, 1.7], [1.7, 0.0, -2.2]])
+    got = gr.fourier_transform(spec, 1.0, xi)
+    assert got.shape == (2, 3)
+    assert got[0, 0] == got[0, 1] and got[0, 2] == got[1, 0]
+    assert np.array_equal(gr.fourier_transform(spec, 1.0, -xi), got)
+    dup = gr.fourier_transform(spec, 1.0, [2.2, 0.3, 2.2, -2.2, 2.2])
+    assert dup[0] == dup[2] == dup[3] == dup[4] != dup[1]
+    assert gr.fourier_transform(spec, 1.0, np.empty((0, 4))).shape == (0, 4)
+
+
+@pytest.mark.parametrize("name", ["triweight", "gaussian"])
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_fourier_transform_rejects_non_finite_xi(cat, name, bad):
+    with pytest.raises(InvalidInputError, match="xi must be finite"):
+        gr.fourier_transform(cat[name], 1.0, np.array([0.5, bad]))
+
+
+def test_cached_gauss_legendre_rule_is_read_only():
+    x, w = gauss_legendre_rule(16)
+    for arr in (x, w):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0.0
+    assert all(map(np.array_equal, gauss_legendre_rule(16), np.polynomial.legendre.leggauss(16)))
+
+
+def test_sandwich_lower_constant_in_blocks_not_one_matrix(cat, quad):
+    # One 256 x 2^14 cosine matrix is 32 MiB; the blocked transform needs 2 MiB.
+    gr.sandwich_check(cat["triweight"], 1.0, 1.0, (0.5,), quad)
+    tracemalloc.start()
+    try:
+        gr.sandwich_check(cat["triweight"], 1.0, 1.0, (0.5,), quad)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
+
+
 def test_gain_mass_values(cat, quad):
     assert gain_mass(cat["cauchy"], 1.0, quad) == pytest.approx(math.pi, rel=1e-14)
     assert gain_mass(cat["uniform"], 2.0, quad) == pytest.approx(1.0, rel=1e-12)
@@ -383,6 +446,24 @@ def test_sandwich_lower_bound_only_for_uncalibrated(cat, quad):
 def test_sandwich_rejects_offsets_beyond_two_m(cat, quad):
     with pytest.raises(InvalidParameterError):
         gr.sandwich_check(cat["gaussian"], 1.0, 1.0, (2.5,), quad)
+
+
+@pytest.mark.parametrize(
+    "sigma, M, deltas",
+    [
+        (1.0, math.inf, (0.5,)),
+        (1.0, math.nan, (0.5,)),
+        (1.0, -math.inf, (0.5,)),
+        (math.inf, 1.0, (0.5,)),
+        (math.nan, 1.0, (0.5,)),
+        (1.0, 1.0, (0.5, math.nan)),
+        (1.0, 1.0, (math.inf,)),
+    ],
+)
+@pytest.mark.parametrize("name", ["triweight", "gaussian"])
+def test_sandwich_rejects_non_finite_arguments(cat, quad, name, sigma, M, deltas):
+    with pytest.raises(InvalidParameterError, match="finite"):
+        gr.sandwich_check(cat[name], sigma, M, deltas, quad)
 
 
 def test_certify_gain_rows(cat, quad):

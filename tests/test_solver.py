@@ -1,5 +1,6 @@
 """Fitting behavior: exact recoveries, ascent guarantees, schedules, CV."""
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -234,6 +235,38 @@ def test_grid_consensus_recovers_majority_line(cat):
     # Gain equals consensus fraction over 2 sigma and covers most inliers.
     frac = report.empirical_gain * 2 * 0.1
     assert frac >= 0.55
+
+
+def _consensus_problem(n, seed):
+    rng = np.random.default_rng(seed)
+    X = np.column_stack([np.ones(n), rng.random(n)])
+    y = X @ [1.0, 2.0] + 0.02 * rng.standard_normal(n)
+    y[: n // 3] = rng.uniform(-10.0, 10.0, n // 3)
+    return X, y
+
+
+def test_grid_consensus_block_size_moves_no_bit(cat, monkeypatch):
+    # 4000 candidates leave a partial last block of 160 at the default size.
+    X, y = _consensus_problem(500, 61)
+    cfg = gr.SolverConfig(method="grid_consensus", seed=4)
+    coeffs, count = solver._grid_consensus(X, y, cat["uniform"], 0.1, cfg)
+    monkeypatch.setattr(solver, "_CONSENSUS_BLOCK", solver._CONSENSUS_SAMPLES)
+    whole = solver._grid_consensus(X, y, cat["uniform"], 0.1, cfg)
+    assert count == whole[1] and coeffs.tobytes() == whole[0].tobytes()
+    assert np.allclose(coeffs, [1.0, 2.0], atol=0.2)
+
+
+def test_grid_consensus_counts_in_blocks_not_one_matrix(cat):
+    # All 4000 candidates' residuals at n = 3200 are a 102 MB matrix.
+    X, y = _consensus_problem(3200, 62)
+    cfg = gr.SolverConfig(method="grid_consensus", seed=4)
+    tracemalloc.start()
+    try:
+        solver._grid_consensus(X, y, cat["uniform"], 0.1, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32e6
 
 
 def test_degenerate_weights_error_names_sigma(cat):
