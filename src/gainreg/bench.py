@@ -32,7 +32,6 @@ from .solver import (
     kfold_select,
     predict_batch,
     schedule_exponent,
-    shared_rank_bases,
     sigma_schedule,
 )
 
@@ -75,6 +74,7 @@ def _split_fits(
 ) -> list[FitReport]:
     """One training split's kernel fit at every (scale, config)."""
     fmap = kernel_map(subsample_centers(sub.inputs, DEFAULT_CENTER_CAP, seed), bw)
+    # The scales are fitted back to back on one design matrix, so the solver factors it once.
     return [fit_egm(sub, spec, sigma, fmap, cfg) for sigma, cfg in scales]
 
 
@@ -143,11 +143,9 @@ def bench_toy(
     """Toy fits at each scale, each at the bandwidth its cross-validation picks.
 
     Every scale's bandwidth cross-validation splits the same training set the
-    same way, so one task fits a (bandwidth, fold) split at every scale.  The
-    split tasks, then the per-scale final fits, run through ``_worker_map``
-    inside one ``shared_rank_bases()`` block: in this process it spans every
-    fit, and each forked worker inherits it empty, so the scales share a split's
-    rank basis and, where they pick the same bandwidth, the final fits theirs.
+    same way, so one task fits a (bandwidth, fold) split at every scale, back to
+    back on one design matrix.  The split tasks, then the per-scale final fits,
+    run through ``_worker_map``.
     """
     train = gen_toy(n_train, seed)
     test = gen_toy(n_test, seed + 1)
@@ -162,7 +160,7 @@ def bench_toy(
         scale, bw = divmod(task, len(grid))
         return toy_fit_at_scale(train, test, scales[scale][0], grid[bw], seed, restarts)
 
-    with shared_rank_bases(), _worker_map(final) as mapper:
+    with _worker_map(final) as mapper:
         choices = kfold_select(train, spec, grid, split, folds, seed, "bw-shuffle", mapper)
         return mapper(final, [i * len(grid) + grid.index(bw) for i, (bw, _) in enumerate(choices)])
 
@@ -231,8 +229,8 @@ def _worker_map(*later: Callable[[int], object]) -> Iterator[Callable]:
     """A ``map(fn, tasks)`` over forked worker processes for the length of the block.
 
     The workers fork at the first call and inherit that call's ``fn`` and the
-    ``later`` functions with the data their closures hold; any other function
-    runs in this process.  Results come back in task order, the same for any
+    ``later`` functions with the data their closures hold; only those functions
+    may be mapped.  Results come back in task order, the same for any
     worker count; without an executor every call is the builtin ``map`` here.
     An error in a task is raised here with its type and message, a worker that
     dies (say, killed for memory) is a ``GainRegError``, and the workers end
@@ -247,7 +245,7 @@ def _worker_map(*later: Callable[[int], object]) -> Iterator[Callable]:
         if not functions:
             functions = (fn, *later)
             executor = _fork_executor(functions, len(tasks))
-        if executor is None or fn not in functions:
+        if executor is None:
             return list(map(fn, tasks))
         from concurrent.futures.process import BrokenProcessPool
 

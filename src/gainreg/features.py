@@ -175,12 +175,14 @@ def model_from_json(text: str) -> HypothesisModel:
     """Parse a saved model; a malformed or incomplete file is invalid input."""
     try:
         payload = json.loads(text)
-        if payload["kind"] == KERNEL:
-            fmap = kernel_map(np.asarray(payload["centers"], dtype=float), payload["bandwidth"])
-        else:
-            fmap = linear_map(payload["input_dim"])
+        centers = payload["centers"]
         return HypothesisModel(
-            feature_map=fmap,
+            feature_map=FeatureMap(
+                kind=payload["kind"],
+                input_dim=payload["input_dim"],
+                centers=None if centers is None else np.asarray(centers, dtype=float),
+                bandwidth=payload["bandwidth"],
+            ),
             coefficients=np.asarray(payload["coefficients"], dtype=float),
             M=payload["M"],
             clip=payload["clip"],

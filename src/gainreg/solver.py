@@ -19,9 +19,8 @@ from __future__ import annotations
 
 import hashlib
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -56,8 +55,8 @@ _CONSENSUS_SAMPLES = 4000
 _CONSENSUS_SWEEPS = 3
 # Candidates whose residuals are counted at a time, through one reused buffer.
 _CONSENSUS_BLOCK = 256
-# Rank bases by design-matrix digest inside a shared_rank_bases() block; None outside one.
-_shared_bases: Optional[dict[tuple, Optional[np.ndarray]]] = None
+# The last design matrix factored, as (shape, blake2b digest), and its rank basis.
+_last_basis: tuple[Optional[tuple], Optional[np.ndarray]] = (None, None)
 
 
 @dataclass(frozen=True)
@@ -161,43 +160,23 @@ def _rank_basis(X: np.ndarray) -> Optional[np.ndarray]:
     Singular values at or below s_max * max(n, p) * eps (``np.linalg.matrix_rank``'s
     default) are rounding noise: on kernel dictionaries their directions carry
     eigenvalues of X'X some 13 orders of magnitude below the auto ridge, so
-    dropping them moves no fit.  None when nothing is dropped.  Inside a
-    ``shared_rank_bases()`` block a matrix seen before reuses its basis.
+    dropping them moves no fit.  None when nothing is dropped.  The last matrix's
+    basis is kept, read-only, so back-to-back fits of one matrix factor it once.
     """
-    cache = _shared_bases  # read once: another thread's block may end meanwhile
-    if cache is None:
-        return _svd_basis(X)
+    global _last_basis
     key = (X.shape, hashlib.blake2b(np.ascontiguousarray(X)).digest())
-    if key not in cache:
-        cache[key] = _svd_basis(X)
-    return cache[key]
-
-
-def _svd_basis(X: np.ndarray) -> Optional[np.ndarray]:
+    last_key, basis = _last_basis  # read once: another thread may replace it
+    if last_key == key:
+        return basis
     _, s, vt = np.linalg.svd(X, full_matrices=False)
     r = int(np.sum(s > s[0] * max(X.shape) * np.finfo(float).eps))
     # Copy the r rows before transposing: the basis keeps the view's Fortran layout
     # (so products with it round as before) without holding all of vt.
-    return vt[:r].copy().T if 0 < r < X.shape[1] else None
-
-
-@contextmanager
-def shared_rank_bases() -> Iterator[None]:
-    """Fits inside the block share the rank basis of each design matrix they repeat.
-
-    Bases are keyed by the matrix's shape and blake2b digest and dropped when the
-    outermost block exits, on an exception too, so no state outlives it.  A block
-    opened inside another one uses and keeps the enclosing block's bases.
-    """
-    global _shared_bases
-    if _shared_bases is not None:
-        yield
-        return
-    _shared_bases = {}
-    try:
-        yield
-    finally:
-        _shared_bases = None
+    basis = vt[:r].copy().T if 0 < r < X.shape[1] else None
+    if basis is not None:
+        basis.flags.writeable = False
+    _last_basis = (key, basis)
+    return basis
 
 
 def _irls_stage(

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import gainreg as gr
-from gainreg import bench, solver
+from gainreg import bench
 from gainreg.bench import anneal_ladder, bench_rates, bench_toy, cross_validate_bandwidth
 
 
@@ -102,45 +102,12 @@ def test_bench_toy_scales_share_rank_bases_without_moving_a_bit(monkeypatch):
     assert _rows(together) == _rows(alone)
     # The second scale repeats the first one's 15 (fold, bandwidth) matrices.
     assert svds.value <= separate - 15
-    assert solver._shared_bases is None
 
 
 def _cpus(monkeypatch, cpus):
     """Let ``bench_toy`` see ``cpus`` CPUs, with OpenBLAS told to run one thread."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
-
-
-def test_rank_basis_cache_ends_with_the_call_that_raised(monkeypatch):
-    # Process-shared, since with two CPUs the fits run in forked workers: the
-    # number of fits seen and the cache size after the last one.
-    seen = multiprocessing.Value("i", 0)
-    seen_last = multiprocessing.Value("i", -1)
-    fit_egm = bench.fit_egm
-
-    def failing_fit(*args, **kwargs):
-        report = fit_egm(*args, **kwargs)
-        with seen.get_lock():
-            seen.value += 1
-            seen_last.value = len(solver._shared_bases)
-            count = seen.value
-        if count == 4:
-            raise gr.DegenerateIterateError("stop here")
-        return report
-
-    monkeypatch.setattr(bench, "fit_egm", failing_fit)
-    # One CPU raises in this process, two in a worker; the block is this process's.
-    for cpus in ({0}, {0, 1}):
-        _cpus(monkeypatch, cpus)
-        seen.value, seen_last.value = 0, -1
-        with pytest.raises(gr.DegenerateIterateError, match="stop here"):
-            bench_toy(40, 30, [0.05, 10.0], seed=3, folds=3, restarts=1)
-        assert seen_last.value > 0 and solver._shared_bases is None
-    # Outside a bench_toy call nothing is cached, so a plain fit hashes nothing.
-    data = gr.gen_toy(40, 3)
-    fmap = gr.kernel_map(data.inputs, 0.5)
-    fit_egm(data, gr.catalog()["gaussian"], 1.0, fmap)
-    assert solver._shared_bases is None
 
 
 def test_bench_toy_bytes_repeat_across_fresh_interpreters(tmp_path):
@@ -211,16 +178,6 @@ def test_a_pool_that_cannot_start_falls_back_in_process(monkeypatch):
     forks = _count_forks(monkeypatch, fail_at=2)
     assert _rows(bench_toy(**TOY)) == _rows(pooled)
     assert len(forks) == 2 and multiprocessing.active_children() == []
-
-
-def test_an_in_process_call_keeps_an_enclosing_cache(monkeypatch):
-    _cpus(monkeypatch, {0})
-    with solver.shared_rank_bases():
-        outer = solver._shared_bases
-        bench_toy(**TOY)
-        # The 15 (fold, bandwidth) splits and the final fits' matrices stay cached.
-        assert solver._shared_bases is outer and len(outer) >= 15
-    assert solver._shared_bases is None
 
 
 def test_a_worker_that_dies_is_an_error_not_a_wait(monkeypatch):

@@ -311,6 +311,26 @@ def test_malformed_flag_values_exit_one_without_traceback(tmp_path, argv):
     assert "Traceback" not in proc.stderr
 
 
+UNKNOWN_KIND = {"kind": "kernel", "input_dim": 1, "centers": [[0.0], [1.0]], "bandwidth": 0.5,
+                "coefficients": [1.0, 2.0], "M": 10.0, "clip": False}
+
+
+@pytest.mark.parametrize("argv", [
+    ["predict", "--model", "m.json", "--data", "d.csv", *OUT],
+    ["fit", "--data", "d.csv", "--gain", "gaussian", "--sigma", "1", "--load", "m.json",
+     "--save", "out.json"],
+], ids=["predict", "fit-load"])
+def test_a_saved_model_of_unknown_kind_is_invalid_input(tmp_path, argv):
+    # Such a file used to load as a linear map, whatever its centers and bandwidth.
+    (tmp_path / "d.csv").write_text("x_0,y\n0,1\n1,2\n2,3\n")
+    (tmp_path / "m.json").write_text(json.dumps(UNKNOWN_KIND))
+    proc = run_process(*argv, cwd=tmp_path)
+    assert proc.returncode == 1, proc.stderr
+    assert "unknown feature map kind 'kernel'" in proc.stderr, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["d.csv", "m.json"]
+
+
 @pytest.mark.parametrize("folds", ["0", "1"])
 def test_bench_toy_needs_two_folds(tmp_path, folds):
     proc = run_process("bench", "toy", "--n-train", "20", "--n-test", "20", "--sigmas", "10",

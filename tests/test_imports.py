@@ -1,6 +1,9 @@
 """Module hygiene: an acyclic import graph and no borrowed private names."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import gainreg as gr
@@ -70,3 +73,25 @@ def test_package_imports_sit_at_module_level():
         if not top
     ]
     assert local == []
+
+
+def test_the_worker_pool_modules_load_only_for_a_pool():
+    # A fresh interpreter, so no other test's imports count.  One CPU keeps
+    # bench_toy's fits in this process.
+    script = (
+        "import os, sys\n"
+        "os.sched_getaffinity = lambda pid: {0}\n"
+        "import gainreg\n"
+        "from gainreg.bench import bench_toy\n"
+        "pool = ('multiprocessing', 'concurrent.futures')\n"
+        "print([m for m in pool if m in sys.modules])\n"
+        "bench_toy(20, 20, [10.0], seed=0, folds=2, restarts=1)\n"
+        "print([m for m in pool if m in sys.modules])\n"
+    )
+    path = os.environ.get("PYTHONPATH")
+    src = str(PACKAGE.parent)
+    env = dict(os.environ, PYTHONPATH=src if not path else src + os.pathsep + path)
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n") == ["[]", "[]", ""]

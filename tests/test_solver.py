@@ -1,5 +1,6 @@
 """Fitting behavior: exact recoveries, ascent guarantees, schedules, CV."""
 
+import threading
 import tracemalloc
 from dataclasses import replace
 
@@ -443,34 +444,78 @@ def test_rank_basis_matches_full_basis_solves(cat):
     assert rel(X @ report.model.coefficients, X @ one_step) <= 1e-8
 
 
-def test_rank_basis_survives_a_block_ending_in_another_thread(monkeypatch):
-    # Another thread leaving its block while this one computes a basis sets the
-    # global to None between the lookup and the store; the basis still comes back.
-    X = gr.design_matrix(gr.kernel_map(kernel_data().inputs, 1.0), kernel_data().inputs)
-    svd_basis = solver._svd_basis
+def _counted_svds(monkeypatch) -> list:
+    """Record the matrix of every SVD from here on; start with no basis remembered."""
+    monkeypatch.setattr(solver, "_last_basis", (None, None))
+    seen = []
+    svd = np.linalg.svd
 
-    def block_ends_meanwhile(X):
-        basis = svd_basis(X)
-        solver._shared_bases = None
-        return basis
+    def counted_svd(A, *args, **kwargs):
+        seen.append(A)
+        return svd(A, *args, **kwargs)
 
-    monkeypatch.setattr(solver, "_svd_basis", block_ends_meanwhile)
-    with solver.shared_rank_bases():
-        basis = solver._rank_basis(X)
-    assert basis is not None and np.array_equal(basis, svd_basis(X))
-    assert solver._shared_bases is None
+    monkeypatch.setattr(np.linalg, "svd", counted_svd)
+    return seen
 
 
-def test_a_nested_block_keeps_the_enclosing_bases():
-    X = gr.design_matrix(gr.kernel_map(kernel_data().inputs, 1.0), kernel_data().inputs)
-    with solver.shared_rank_bases():
-        outer = solver._shared_bases
-        with solver.shared_rank_bases():
-            assert solver._shared_bases is outer
-            basis = solver._rank_basis(X)
-        assert solver._shared_bases is outer and len(outer) == 1
-        assert solver._rank_basis(X) is basis
-    assert solver._shared_bases is None
+def test_a_fit_of_the_matrix_just_factored_takes_no_svd(monkeypatch, cat):
+    data = kernel_data()
+    fmap = gr.kernel_map(data.inputs, 1.0)
+    cfg = gr.SolverConfig(method="irls", max_iters=20, restarts=2)
+    svds = _counted_svds(monkeypatch)
+    first = gr.fit_egm(data, cat["gaussian"], 0.5, fmap, cfg)
+    assert len(svds) == 1 and first.rank < fmap.feature_count
+    again = gr.fit_egm(data, cat["gaussian"], 0.5, fmap, cfg)
+    assert len(svds) == 1
+    assert again.model.coefficients.tobytes() == first.model.coefficients.tobytes()
+    assert (again.empirical_gain, again.gain_trace, again.restart_gains, again.iterations,
+            again.converged, again.rank) == (first.empirical_gain, first.gain_trace,
+                                             first.restart_gains, first.iterations,
+                                             first.converged, first.rank)
+
+
+def test_rank_basis_is_remembered_for_the_same_bytes_and_shape_only(monkeypatch):
+    data = kernel_data()
+    X = gr.design_matrix(gr.kernel_map(data.inputs[:40], 1.0), data.inputs)  # 160 x 40
+    svds = _counted_svds(monkeypatch)
+    basis = solver._rank_basis(X)
+    assert solver._rank_basis(X.copy()) is basis and len(svds) == 1
+    # The stored basis is shared by later fits, so nobody may write to it.
+    assert basis is not None and not basis.flags.writeable
+    with pytest.raises(ValueError):
+        basis[0, 0] = 0.0
+    # The same bytes as a 40 x 160 matrix, then X one ulp off in one cell.
+    solver._rank_basis(X.reshape(40, 160))
+    off = X.copy()
+    off[7, 3] = np.nextafter(off[7, 3], np.inf)
+    solver._rank_basis(off)
+    assert [A.shape for A in svds] == [(160, 40), (40, 160), (160, 40)]
+    assert svds[2] is off
+
+
+def test_rank_basis_survives_another_thread_replacing_it(monkeypatch):
+    # Another thread factors a second matrix while this one computes a basis, so the
+    # remembered pair changes between the lookup and the store; the right basis
+    # still comes back, and the store that ends last is the one remembered.
+    data = kernel_data()
+    X = gr.design_matrix(gr.kernel_map(data.inputs, 1.0), data.inputs)
+    Y = gr.design_matrix(gr.kernel_map(data.inputs, 0.2), data.inputs)
+    expected = solver._rank_basis(X)
+    svds = _counted_svds(monkeypatch)
+    svd = np.linalg.svd
+
+    def other_thread_meanwhile(A, *args, **kwargs):
+        if A is X:
+            other = threading.Thread(target=solver._rank_basis, args=(Y,))
+            other.start()
+            other.join()
+        return svd(A, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", other_thread_meanwhile)
+    basis = solver._rank_basis(X)
+    assert len(svds) == 2 and svds[0] is Y and svds[1] is X
+    assert basis is not None and np.array_equal(basis, expected)
+    assert solver._last_basis[1] is basis
 
 
 def test_kernel_fit_save_load_warm_start(tmp_path, capsys, cat):
