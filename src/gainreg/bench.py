@@ -21,7 +21,7 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .errors import GainRegError, InvalidParameterError
-from .features import DEFAULT_CENTER_CAP, kernel_map, linear_map, subsample_centers
+from .features import DEFAULT_CENTER_CAP, design_matrix, kernel_map, linear_map, subsample_centers
 from .gains import GainSpec, catalog
 from .rng import derive_key, generator
 from .simulate import Dataset, NoiseSpec, gen_location, gen_toy, toy_references, truth_function
@@ -76,21 +76,6 @@ def _split_fits(
     fmap = kernel_map(subsample_centers(sub.inputs, DEFAULT_CENTER_CAP, seed), bw)
     # The scales are fitted back to back on one design matrix, so the solver factors it once.
     return [fit_egm(sub, spec, sigma, fmap, cfg) for sigma, cfg in scales]
-
-
-def cross_validate_bandwidth(
-    train: Dataset,
-    spec: GainSpec,
-    sigma: float,
-    bandwidth_grid: Sequence[float],
-    seed: int,
-    folds: int = 5,
-) -> tuple[float, list[tuple[float, float]]]:
-    """Mean held-out gain per kernel bandwidth; ties go to the larger one."""
-    scales = [(sigma, toy_solver_config(sigma, seed))]
-    fit = partial(_split_fits, spec=spec, seed=seed, scales=scales)
-    grid = [float(bw) for bw in bandwidth_grid]
-    return kfold_select(train, spec, grid, fit, folds, seed, "bw-shuffle")[0]
 
 
 @dataclass(frozen=True)
@@ -152,7 +137,7 @@ def bench_toy(
     spec = catalog()["gaussian"]
     scales = [(s, toy_solver_config(s, seed)) for s in sorted(float(s) for s in sigmas)]
     if not scales:
-        return []
+        raise InvalidParameterError("the toy benchmark needs at least one scale")
     grid = list(TOY_BANDWIDTH_GRID)
     split = partial(_split_fits, spec=spec, seed=seed, scales=scales)
 
@@ -297,7 +282,9 @@ def bench_rates(
 ) -> tuple[list[RateCell], float]:
     """Median squared population error per sample size, and its log-log slope."""
     ns = [int(n) for n in n_list]
-    if len(ns) > 1 and any(b <= a for a, b in zip(ns, ns[1:])):
+    if len(ns) < 2:
+        raise InvalidParameterError("a log-log slope needs at least two sample sizes")
+    if any(b <= a for a, b in zip(ns, ns[1:])):
         raise InvalidParameterError("n_list must be strictly increasing")
     if reps < 1:
         raise InvalidParameterError(f"reps must be positive, got {reps}")
@@ -318,10 +305,8 @@ def bench_rates(
             egm_errors.append(
                 _mc_sq_error(predict_batch(report.model, x_mc), truth_vals)
             )
-            ols = np.linalg.lstsq(
-                np.hstack([data.inputs, np.ones((data.n, 1))]), data.outputs, rcond=None
-            )[0]
-            ols_vals = np.hstack([x_mc, np.ones((MC_POINTS, 1))]) @ ols
+            ols = np.linalg.lstsq(design_matrix(fmap, data.inputs), data.outputs, rcond=None)[0]
+            ols_vals = design_matrix(fmap, x_mc) @ ols
             ols_errors.append(_mc_sq_error(ols_vals, truth_vals))
         cells.append(
             RateCell(
@@ -334,7 +319,7 @@ def bench_rates(
         )
     xs = np.log([c.n for c in cells])
     ys = np.log([max(c.egm_median, 1e-300) for c in cells])
-    slope = float(np.polyfit(xs, ys, 1)[0]) if len(cells) > 1 else 0.0
+    slope = float(np.polyfit(xs, ys, 1)[0])
     return cells, slope
 
 

@@ -484,36 +484,27 @@ def sandwich_check(
     )
 
 
+def _row(
+    gain: str, check: str, passed: bool, estimated, declared, max_violation: float, note: str
+) -> dict:
+    """One certification CSV row; its keys are in column order."""
+    return {"gain": gain, "check": check, "passed": passed, "estimated": estimated,
+            "declared": declared, "max_violation": max_violation, "note": note}
+
+
 def certify_gain(spec: GainSpec, quad: QuadratureConfig) -> list[dict]:
     """Rows for the certification CSV: one per applicable check."""
-    rows: list[dict] = []
-
     axioms = check_gain_axioms(spec, quad)
-    rows.append(
-        {
-            "gain": spec.name,
-            "check": "axioms",
-            "passed": axioms.axiom_pass,
-            "estimated": axioms.estimated.get("integral", float("nan")),
-            "declared": "",
-            "max_violation": axioms.max_violation,
-            "note": "; ".join(axioms.notes),
-        }
-    )
+    rows = [
+        _row(spec.name, "axioms", axioms.axiom_pass,
+             axioms.estimated.get("integral", float("nan")), "", axioms.max_violation,
+             "; ".join(axioms.notes))
+    ]
 
     if spec.type_alpha is not None:
         alpha, c, ok = check_type_alpha(spec)
-        rows.append(
-            {
-                "gain": spec.name,
-                "check": "type_alpha",
-                "passed": ok,
-                "estimated": alpha,
-                "declared": alpha,
-                "max_violation": 0.0 if ok else 1.0,
-                "note": f"c={c:g}",
-            }
-        )
+        rows.append(_row(spec.name, "type_alpha", ok, alpha, alpha, 0.0 if ok else 1.0,
+                         f"c={c:g}"))
 
     if spec.representing_fn is not None:
         l1_est, l2_est = estimate_lipschitz(spec)
@@ -526,15 +517,20 @@ def certify_gain(spec: GainSpec, quad: QuadratureConfig) -> list[dict]:
         ok = (l1_est <= decl.L1 * DECLARED_HEADROOM) and (
             l2_est <= decl.L2 * DECLARED_HEADROOM + 1e-6
         )
-        rows.append(
-            {
-                "gain": spec.name,
-                "check": "lipschitz",
-                "passed": ok,
-                "estimated": f"L1={l1_est:.6g} L2={l2_est:.6g}",
-                "declared": f"L1={decl.L1:.6g} L2={decl.L2:.6g}",
-                "max_violation": viol,
-                "note": "declared constants are upper bounds",
-            }
-        )
+        rows.append(_row(spec.name, "lipschitz", ok, f"L1={l1_est:.6g} L2={l2_est:.6g}",
+                         f"L1={decl.L1:.6g} L2={decl.L2:.6g}", viol,
+                         "declared constants are upper bounds"))
     return rows
+
+
+def sandwich_row(report: SandwichReport) -> dict:
+    """The certification CSV row of a sandwich check."""
+    return _row(
+        report.gain,
+        "sandwich",
+        report.passed,
+        f"C={report.lower_constant:.6g}",
+        "" if report.upper_constant is None else f"C'={report.upper_constant:.6g}",
+        0.0 if report.passed else max(abs(d) for d in report.violations),
+        f"two-sided quadratic bounds at sigma={report.sigma:g}, M={report.M:g}",
+    )

@@ -186,17 +186,17 @@ def _irls_stage(
     spec: GainSpec,
     sigma: float,
     cfg: SolverConfig,
-    record: Optional[list[float]],
+    trace: list[float],
     features: int,
 ) -> tuple[np.ndarray, int, bool]:
     """Reweighted least squares at a fixed scale; returns (coeffs, iters, converged).
 
     Each residual vector gets one checked pass for its mean gain and the weights
-    of the next solve.
+    of the next solve.  Every gain goes onto ``trace``, so its last entry is the
+    gain of the returned coefficients.
     """
     gain, w = gain_and_weights(spec, sigma, y - X @ coeffs)
-    if record is not None:
-        record.append(gain)
+    trace.append(gain)
     converged = False
     iters = 0
     for _ in range(cfg.max_iters):
@@ -213,8 +213,7 @@ def _irls_stage(
             w = w / top
         coeffs = _weighted_solve(X, y, w, cfg.ridge, features)
         new_gain, w = gain_and_weights(spec, sigma, y - X @ coeffs)
-        if record is not None:
-            record.append(new_gain)
+        trace.append(new_gain)
         if abs(new_gain - gain) <= cfg.tol * max(1.0, abs(gain)):
             gain = new_gain
             converged = True
@@ -230,16 +229,17 @@ def _gradient_stage(
     spec: GainSpec,
     sigma: float,
     cfg: SolverConfig,
-    record: Optional[list[float]],
+    trace: list[float],
     features: int,
 ) -> tuple[np.ndarray, int, bool]:
     """Backtracking ascent; accepted steps never decrease the gain.
 
-    ``features`` matches the reweighting stage's signature; a gradient step has no ridge.
+    The starting gain and each accepted step's gain go onto ``trace``, so its last
+    entry is the gain of the returned coefficients.  ``features`` matches the
+    reweighting stage's signature; a gradient step has no ridge.
     """
     gain = _mean_gain(spec, sigma, y - X @ coeffs)
-    if record is not None:
-        record.append(gain)
+    trace.append(gain)
     step = _STEP_INIT
     converged = False
     iters = 0
@@ -263,8 +263,7 @@ def _gradient_stage(
             break
         improvement = cand_gain - gain
         coeffs, gain = candidate, cand_gain
-        if record is not None:
-            record.append(gain)
+        trace.append(gain)
         # Allow growth after success, capped so the step stays finite.
         step = min(step / _STEP_SHRINK, 1e9 * _STEP_INIT)
         if improvement <= cfg.tol * max(1.0, abs(gain)):
@@ -382,8 +381,10 @@ def fit_egm(
 ) -> FitReport:
     """Maximize the empirical gain of the data over the feature map's span.
 
-    ``init_coefficients`` replaces the ordinary-least-squares anchor (warm
-    start); perturbed restarts still scatter around it.
+    Each restart runs the anneal stages above ``sigma``, then ``sigma`` itself,
+    warm-starting each stage; a restart's gain is the last entry of its final
+    stage's trace.  ``init_coefficients`` replaces the ordinary-least-squares
+    anchor (warm start); perturbed restarts still scatter around it.
     """
     if sigma <= 0:
         raise InvalidParameterError("sigma must be positive")
@@ -458,19 +459,17 @@ def fit_egm(
             coeffs = anchor + (step if basis is None else basis.T @ step)
         try:
             iters = 0
-            for stage_sigma in stages:
-                coeffs, it, _ = stage_fn(Z, y, coeffs, spec, stage_sigma, cfg, None, p)
+            for stage_sigma in (*stages, sigma):
+                trace: list[float] = []
+                coeffs, it, converged = stage_fn(Z, y, coeffs, spec, stage_sigma, cfg, trace, p)
                 iters += it
-            trace: list[float] = []
-            coeffs, it, converged = stage_fn(Z, y, coeffs, spec, sigma, cfg, trace, p)
-            iters += it
         except DegenerateIterateError as exc:
             # A wild restart can leave every residual outside the support;
             # skip it unless every restart degenerates.
             degenerate = exc
             restart_gains.append(-math.inf)
             continue
-        gain = _mean_gain(spec, sigma, y - Z @ coeffs)
+        gain = trace[-1]
         restart_gains.append(gain)
         if best is None or gain > best[0]:
             best = (gain, coeffs, trace, iters, converged)

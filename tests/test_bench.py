@@ -5,14 +5,15 @@ import os
 import subprocess
 import sys
 import threading
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import gainreg as gr
-from gainreg import bench
-from gainreg.bench import anneal_ladder, bench_rates, bench_toy, cross_validate_bandwidth
+from gainreg import bench, solver
+from gainreg.bench import anneal_ladder, bench_rates, bench_toy
 
 
 def test_anneal_ladder():
@@ -58,10 +59,25 @@ def test_rates_requires_increasing_sizes():
         bench_rates("triweight", noise, 1.0, 1.0, "theta1", [200, 100], reps=2, seed=0)
 
 
+@pytest.mark.parametrize("sizes", [[50], []], ids=["one-size", "no-size"])
+def test_rates_need_two_sizes_for_a_slope(sizes):
+    # One size used to report a slope of 0.0 that was never measured.
+    with pytest.raises(gr.InvalidParameterError, match="at least two sample sizes"):
+        bench_rates("triweight", gr.NoiseSpec.gaussian(0.0, 1.0), 1.0, 1.0, "theta1",
+                    sizes, reps=2, seed=0)
+
+
+def test_toy_needs_a_scale():
+    with pytest.raises(gr.InvalidParameterError, match="at least one scale"):
+        bench_toy(20, 20, [], seed=0)
+
+
 def test_bandwidth_cv_prefers_sensible_scale():
     train = gr.gen_toy(150, seed=5)
     spec = gr.catalog()["gaussian"]
-    best, table = cross_validate_bandwidth(train, spec, 10.0, (0.05, 0.2, 1.0), seed=5, folds=3)
+    fit = partial(bench._split_fits, spec=spec, seed=5,
+                  scales=[(10.0, bench.toy_solver_config(10.0, 5))])
+    best, table = solver.kfold_select(train, spec, [0.05, 0.2, 1.0], fit, 3, 5, "bw-shuffle")[0]
     assert best in (0.05, 0.2, 1.0)
     assert len(table) == 3
     # Wider kernels should beat near-interpolation for the smooth mean fit.

@@ -1,5 +1,6 @@
 """CLI surfaces: formats, determinism, exit codes, config files."""
 
+import csv
 import json
 import multiprocessing
 import os
@@ -151,6 +152,28 @@ def test_certify_failure_exits_three(monkeypatch, tmp_path):
 
     monkeypatch.setattr(cli_mod, "certify_gain", fake_certify)
     assert run("certify", "--gain", "gaussian", "--out", str(tmp_path / "c.csv")) == 3
+
+
+def test_certify_writes_the_calibrate_rows(tmp_path):
+    from gainreg.calibrate import certify_gain, sandwich_row
+    from gainreg.cli import _fmt
+
+    out = tmp_path / "c.csv"
+    assert run("certify", "--gain", "cauchy", "--sandwich", "--out", str(out)) == 0
+    spec, quad = gr.catalog()["cauchy"], gr.QuadratureConfig(half_width=40.0, nodes=4096)
+    sandwich = gr.sandwich_check(spec, 1.0, 1.0, (-1.0, -0.5, -0.1, 0.1, 0.5, 1.0), quad)
+    keys = ["gain", "check", "passed", "estimated", "declared", "max_violation", "note"]
+    expected = [["gain", "check", "status", *keys[3:]]] + [
+        [("pass" if row[k] else "fail") if k == "passed" else _fmt(row[k]) for k in keys]
+        for row in certify_gain(spec, quad) + [sandwich_row(sandwich)]
+    ]
+    with open(out, encoding="utf-8", newline="") as handle:
+        written = list(csv.reader(handle))
+    assert written == expected
+    assert written[-1] == [
+        "cauchy", "sandwich", "pass", f"C={sandwich.lower_constant:.6g}",
+        f"C'={sandwich.upper_constant:.6g}", "0.0", "two-sided quadratic bounds at sigma=1, M=1",
+    ]
 
 
 def test_bench_toy_row_count_and_determinism(tmp_path):
@@ -329,6 +352,20 @@ def test_a_saved_model_of_unknown_kind_is_invalid_input(tmp_path, argv):
     assert "unknown feature map kind 'kernel'" in proc.stderr, proc.stderr
     assert "Traceback" not in proc.stderr
     assert sorted(p.name for p in tmp_path.iterdir()) == ["d.csv", "m.json"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["bench", "rates", "--n-list", "50"], "at least two sample sizes"),
+    (["bench", "rates", "--n-list", ","], "at least two sample sizes"),
+    (["bench", "toy", "--sigmas", ","], "at least one scale"),
+], ids=["rates-one-size", "rates-no-size", "toy-no-scale"])
+def test_bench_grids_too_short_exit_one_without_output(tmp_path, argv, message):
+    # These runs used to exit 0, with an unmeasured slope or a header-only CSV.
+    proc = run_process(*argv, "--out", "out.csv", cwd=tmp_path)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.startswith("invalid request") and message in proc.stderr, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("folds", ["0", "1"])

@@ -93,6 +93,17 @@ def test_best_of_restarts_dominance(cat):
     assert all(report.empirical_gain >= g for g in report.restart_gains)
 
 
+@pytest.mark.parametrize("name, method", [("cauchy", "irls"), ("laplace", "gradient")])
+def test_restart_gain_is_its_final_stage_trace_end(cat, name, method):
+    # Bit for bit: a restart's gain is the last entry of its final stage's trace,
+    # and that is the empirical gain of the fitted model.
+    data = linear_data(seed=22, noise=0.5)
+    cfg = gr.SolverConfig(method=method, restarts=3, seed=3, anneal=(4.0, 2.0, 1.0))
+    report = gr.fit_egm(data, cat[name], 0.5, gr.linear_map(1), cfg)
+    assert report.empirical_gain == report.gain_trace[-1] == max(report.restart_gains)
+    assert report.empirical_gain == gr.empirical_gain(report.model, data, cat[name], 0.5)
+
+
 def test_gradient_method_never_decreases(cat):
     data = linear_data(seed=30)
     cfg = gr.SolverConfig(method="gradient", max_iters=150, tol=1e-10, restarts=1)
@@ -207,19 +218,19 @@ def test_cross_validation_routines_share_one_kfold_core(cat, monkeypatch):
     real = solver.kfold_select
 
     def spy(*args):
-        calls.append(args[-1])
+        calls.append(args[6])  # the stream; bench_toy also passes a mapper
         return real(*args)
 
     monkeypatch.setattr(solver, "kfold_select", spy)
     monkeypatch.setattr(bench, "kfold_select", spy)
     gr.cross_validate_sigma(data, cat["gaussian"], [1.0, 2.0], gr.linear_map(1), cfg, 3)
-    bench.cross_validate_bandwidth(data, cat["gaussian"], 4.0, (0.5, 1.0), seed=0, folds=3)
+    bench.bench_toy(40, 20, [4.0], seed=0, folds=3, restarts=1)
     assert calls == ["cv-shuffle", "bw-shuffle"]
     for folds in (0, 1):
         with pytest.raises(InvalidParameterError, match="at least 2 folds"):
-            bench.cross_validate_bandwidth(data, cat["gaussian"], 4.0, (0.5,), 0, folds)
+            bench.bench_toy(20, 20, [4.0], 0, folds)
     with pytest.raises(InvalidParameterError, match="non-empty"):
-        bench.cross_validate_bandwidth(data, cat["gaussian"], 4.0, (), 0, 3)
+        gr.cross_validate_sigma(data, cat["gaussian"], [], gr.linear_map(1), cfg, 3)
 
 
 def test_grid_consensus_recovers_majority_line(cat):
