@@ -28,6 +28,7 @@ from .simulate import Dataset, NoiseSpec, gen_location, gen_toy, toy_references,
 from .solver import (
     FitReport,
     SolverConfig,
+    default_config,
     fit_egm,
     kfold_select,
     predict_batch,
@@ -125,7 +126,7 @@ def bench_toy(
     folds: int = 5,
     restarts: int = 3,
 ) -> list[ToyFitResult]:
-    """Toy fits at each scale, each at the bandwidth its cross-validation picks.
+    """Toy fits at each distinct scale, ascending, at the bandwidth its cross-validation picks.
 
     Every scale's bandwidth cross-validation splits the same training set the
     same way, so one task fits a (bandwidth, fold) split at every scale, back to
@@ -135,7 +136,7 @@ def bench_toy(
     train = gen_toy(n_train, seed)
     test = gen_toy(n_test, seed + 1)
     spec = catalog()["gaussian"]
-    scales = [(s, toy_solver_config(s, seed)) for s in sorted(float(s) for s in sigmas)]
+    scales = [(s, toy_solver_config(s, seed)) for s in sorted({float(s) for s in sigmas})]
     if not scales:
         raise InvalidParameterError("the toy benchmark needs at least one scale")
     grid = list(TOY_BANDWIDTH_GRID)
@@ -297,8 +298,8 @@ def bench_rates(
         for rep in range(reps):
             data = gen_location(n, truth, noise, derive_cell_seed(seed, n, rep))
             fmap = linear_map(data.inputs.shape[1])
-            cfg = SolverConfig(method="irls", max_iters=100, tol=1e-9, restarts=restarts,
-                               seed=derive_cell_seed(seed, n, rep))
+            cfg = default_config(spec, max_iters=100, tol=1e-9, restarts=restarts,
+                                 seed=derive_cell_seed(seed, n, rep))
             report = fit_egm(data, spec, sigma, fmap, cfg)
             x_mc = generator(seed, "rates-mc", n, rep).random((MC_POINTS, 1))
             truth_vals = truth_fn(x_mc)

@@ -89,8 +89,15 @@ def _write_rows(path: Optional[str], header: Sequence[str], rows: Sequence[Seque
             emit(handle)
 
 
-def _write_sidecar(out_path: str, metadata: dict) -> None:
-    Path(str(out_path) + ".meta.json").write_text(
+def _write_sidecar(args, **resolved) -> None:
+    """``<out>.meta.json``: every parsed flag, the full subcommand, the version, and the
+    values the command resolved (which replace their flags); none for stdout."""
+    if args.out is None or args.out == "-":
+        return
+    metadata = {k: v for k, v in vars(args).items() if k not in ("fn", "config", "out")}
+    words = (metadata["command"], metadata.pop("bench_command", None))
+    metadata.update(command=" ".join(filter(None, words)), version=__version__, **resolved)
+    Path(args.out + ".meta.json").write_text(
         json.dumps(metadata, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
 
@@ -273,16 +280,10 @@ def cmd_simulate(args) -> int:
         raise UsageError("simulate requires --out")
     dataset_to_csv(data, args.out)
     _write_sidecar(
-        args.out,
-        {
-            "command": "simulate",
-            "model": args.model,
-            "n": args.n,
-            "seed": args.seed,
-            "truth": data.truth,
-            "noise": None if data.noise is None else data.noise.describe(),
-            "version": __version__,
-        },
+        args,
+        truth=data.truth,
+        noise=None if data.noise is None else data.noise.describe(),
+        input_dim=data.inputs.shape[1],
     )
     return EXIT_OK
 
@@ -383,21 +384,9 @@ def cmd_bench_toy(args) -> int:
     header = ["kind", "sigma", "bandwidth", "rmse_mean_ref", "rmse_mode_ref",
               "train_gain", "x", "fhat"]
     _write_rows(args.out, header, rows)
-    if args.out and args.out != "-":
-        _write_sidecar(
-            args.out,
-            {
-                "command": "bench toy",
-                "n_train": args.n_train,
-                "n_test": args.n_test,
-                "sigmas": sorted(sigmas),
-                "seed": args.seed,
-                "folds": args.folds,
-                "restarts": args.restarts,
-                "bandwidth_grid": list(TOY_BANDWIDTH_GRID),
-                "version": __version__,
-            },
-        )
+    _write_sidecar(
+        args, sigmas=[res.sigma for res in results], bandwidth_grid=list(TOY_BANDWIDTH_GRID)
+    )
     return EXIT_OK
 
 
@@ -424,23 +413,7 @@ def cmd_bench_rates(args) -> int:
     rows.append(["slope", "", "", "", "", "", slope])
     header = ["kind", "n", "sigma", "theta_exponent", "egm_err_median", "ols_err_median", "slope"]
     _write_rows(args.out, header, rows)
-    if args.out and args.out != "-":
-        _write_sidecar(
-            args.out,
-            {
-                "command": "bench rates",
-                "gain": args.gain,
-                "noise": noise.describe(),
-                "epsilon": args.epsilon,
-                "q": args.q,
-                "schedule": args.schedule,
-                "n_list": n_list,
-                "reps": args.reps,
-                "seed": args.seed,
-                "truth": args.truth,
-                "version": __version__,
-            },
-        )
+    _write_sidecar(args, noise=noise.describe(), n_list=n_list)
     return EXIT_OK
 
 

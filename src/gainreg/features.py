@@ -127,18 +127,15 @@ def design_matrix(fmap: FeatureMap, inputs: np.ndarray) -> np.ndarray:
     arr, _ = _check_inputs(fmap, inputs)
     if fmap.kind == LINEAR:
         return np.hstack([arr, np.ones((len(arr), 1))])
-    # Under a tiny bandwidth far points' exponents overflow to inf, and exp(-inf) = 0 is
-    # exact.  Squares beyond about 1e154 overflow too, and inf - inf is NaN: then the
-    # distances are taken as direct differences, where an overflow is an inf distance.
-    with np.errstate(over="ignore", invalid="ignore"):
-        sq = (
-            np.sum(arr**2, axis=1)[:, None]
-            - 2.0 * arr @ fmap.centers.T
-            + np.sum(fmap.centers**2, axis=1)[None, :]
-        )
-        if not np.isfinite(sq).all():
-            sq = np.sum((arr[:, None, :] - fmap.centers[None, :, :]) ** 2, axis=2)
-        return np.exp(-np.maximum(sq, 0.0) / (2.0 * fmap.bandwidth**2))
+    # Direct differences, summed one coordinate at a time: exact far from the origin, with
+    # no n x k x d temporary.  A square beyond about 1e154, or an exponent under a tiny
+    # bandwidth, overflows to inf, and exp(-inf) = 0 is exact.
+    with np.errstate(over="ignore"):
+        sq = np.zeros((len(arr), len(fmap.centers)))
+        for x, c in zip(arr.T, fmap.centers.T):
+            sq += np.subtract.outer(x, c) ** 2
+        sq /= -2.0 * fmap.bandwidth**2
+        return np.exp(sq, out=sq)
 
 
 def predict_batch(model: HypothesisModel, inputs: np.ndarray) -> np.ndarray:

@@ -53,6 +53,15 @@ def test_rates_negative_slope_for_strong_gains(name):
     assert cells[0].sigma == gr.sigma_schedule("theta1", 1.0, 1.0, 50)
 
 
+@pytest.mark.parametrize("name", ["laplace", "tricube", "triangular", "uniform"])
+def test_rates_fit_every_gain_by_its_default_method(name):
+    # These gains have no reweighting; the rates benchmark used to force IRLS on them.
+    cells, slope = bench_rates(name, gr.NoiseSpec.gaussian(0.0, 1.0), 1.0, 1.0, "theta1",
+                               [20, 40], reps=1, seed=0)
+    assert [c.n for c in cells] == [20, 40]
+    assert all(np.isfinite(c.egm_median) for c in cells) and np.isfinite(slope)
+
+
 def test_rates_requires_increasing_sizes():
     noise = gr.NoiseSpec.gaussian(0.0, 1.0)
     with pytest.raises(gr.InvalidParameterError):
@@ -97,6 +106,11 @@ def test_bench_toy_output_shapes():
 def _rows(results):
     return [(r.sigma, r.bandwidth, r.rmse_mean_ref, r.rmse_mode_ref, r.train_gain,
              r.curve_x.tobytes(), r.curve_y.tobytes()) for r in results]
+
+
+def test_bench_toy_runs_a_repeated_scale_once():
+    once = bench_toy(40, 30, [10.0], seed=4, folds=3, restarts=1)
+    assert _rows(bench_toy(40, 30, [10, 10.0], seed=4, folds=3, restarts=1)) == _rows(once)
 
 
 def test_bench_toy_scales_share_rank_bases_without_moving_a_bit(monkeypatch):

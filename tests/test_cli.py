@@ -189,6 +189,38 @@ def test_bench_toy_row_count_and_determinism(tmp_path):
     assert meta["sigmas"] == [0.5, 4.0]
 
 
+def test_bench_toy_sidecar_keys_and_a_repeated_scale(tmp_path):
+    out = tmp_path / "toy.csv"
+    assert run("bench", "toy", "--n-train", "30", "--n-test", "20", "--sigmas", "10,10",
+               "--seed", "1", "--folds", "2", "--restarts", "1", "--out", str(out)) == 0
+    assert sum(line.startswith("summary,") for line in out.read_text().splitlines()) == 1
+    meta = json.loads(Path(str(out) + ".meta.json").read_text())
+    assert sorted(meta) == ["bandwidth_grid", "command", "folds", "n_test", "n_train",
+                            "restarts", "seed", "sigmas", "version"]
+    assert meta["command"] == "bench toy" and meta["sigmas"] == [10.0]
+
+
+def test_sidecars_record_every_parsed_flag(tmp_path):
+    rates = tmp_path / "rates.csv"
+    assert run("bench", "rates", "--n-list", "20,40", "--reps", "1", "--restarts", "2",
+               "--out", str(rates)) == 0
+    meta = json.loads(Path(str(rates) + ".meta.json").read_text())
+    assert meta["restarts"] == 2 and meta["n_list"] == [20, 40]
+    assert meta["command"] == "bench rates" and meta["noise"]["family"] == "contaminated"
+    sim = tmp_path / "sim.csv"
+    assert run("simulate", "--model", "location", "--n", "5", "--input-dim", "2",
+               "--out", str(sim)) == 0
+    meta = json.loads(Path(str(sim) + ".meta.json").read_text())
+    assert meta["input_dim"] == 2 and meta["command"] == "simulate"
+
+
+def test_simulate_to_stdout_writes_no_sidecar(tmp_path):
+    proc = run_process("simulate", "--n", "5", "--out", "-", cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("x_0,y\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_bench_rates_schedule_column(tmp_path):
     out = tmp_path / "rates.csv"
     assert run("bench", "rates", "--n-list", "50,100", "--reps", "2", "--seed", "1",

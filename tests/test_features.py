@@ -1,5 +1,7 @@
 """Feature maps, models, prediction, and serialization."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -168,9 +170,45 @@ def test_kernel_features_of_coordinates_whose_squares_overflow():
     fmap = gr.kernel_map(np.array([[big], [0.5]]), 0.5)
     X = gr.design_matrix(fmap, np.array([[0.5], [1e200], [big]]))
     assert np.array_equal(X, [[0.0, 1.0], [0.0, 0.0], [1.0, 0.0]])
-    # Ordinary coordinates keep the expanded form, bit for bit.
+    # Ordinary coordinates take the same direct differences, bit for bit.
     x = np.linspace(0.0, 1.0, 7)[:, None]
     c = x[::2]
-    expanded = np.sum(x**2, axis=1)[:, None] - 2.0 * x @ c.T + np.sum(c**2, axis=1)[None, :]
-    assert np.array_equal(gr.design_matrix(gr.kernel_map(c, 0.3), x),
-                          np.exp(-np.maximum(expanded, 0.0) / (2.0 * 0.3**2)))
+    assert np.array_equal(gr.design_matrix(gr.kernel_map(c, 0.3), x), _direct_kernel(x, c, 0.3))
+
+
+def _direct_kernel(x, c, bandwidth):
+    """The textbook kernel: exp(-|x - c|^2 / (2 h^2)) from direct differences."""
+    sq = np.sum((x[:, None, :] - c[None, :, :]) ** 2, axis=2)
+    return np.exp(-sq / (2.0 * bandwidth**2))
+
+
+@pytest.mark.parametrize("offset,bandwidth", [(0.0, 1.0), (1e4, 0.01), (1e8, 1.0)])
+def test_kernel_features_are_exact_far_from_the_origin(offset, bandwidth):
+    # Expanding |x - c|^2 as |x|^2 - 2 x.c + |c|^2 cancels here: at 1e8 it was off by 0.75.
+    rng = np.random.default_rng(5)
+    c = offset + bandwidth * rng.normal(size=(9, 2))
+    x = offset + bandwidth * rng.normal(size=(13, 2))
+    K = gr.design_matrix(gr.kernel_map(c, bandwidth), x)
+    assert np.array_equal(K, _direct_kernel(x, c, bandwidth))
+    assert 0.0 < K.min() and K.max() < 1.0
+
+
+def test_kernel_dictionary_at_its_centers_is_exactly_symmetric():
+    pts = np.random.default_rng(6).normal(size=(40, 3))
+    K = gr.design_matrix(gr.kernel_map(pts, 0.8), pts)
+    assert np.array_equal(K, K.T)
+    assert np.array_equal(np.diag(K), np.ones(40))
+
+
+def test_kernel_features_build_no_n_by_k_by_d_temporary():
+    # n x k x d doubles would be 200 * 150 * 100 * 8 B = 24 MB; one n x k array is 240 kB.
+    rng = np.random.default_rng(7)
+    fmap = gr.kernel_map(rng.normal(size=(150, 100)), 10.0)
+    x = rng.normal(size=(200, 100))
+    tracemalloc.start()
+    try:
+        gr.design_matrix(fmap, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 200 * 150 * 8
