@@ -4,9 +4,11 @@ The default solver is half-quadratic reweighting: the representing function
 of a calibrated gain is convex and decreasing, so each weighted ridge
 least-squares step maximizes a quadratic minorant tangent at the current
 iterate and the empirical gain never decreases (with zero ridge).  A
-backtracking gradient ascent covers differentiable gains without usable
-weights, and a seeded random-plus-coordinate search handles the piecewise
-constant box gain, whose objective counts consensus.
+gradient ascent covers differentiable gains without usable weights: each
+step starts from the two-point step of Barzilai and Borwein and is halved
+until the gain does not fall, so that gain never decreases either.  A
+seeded random-plus-coordinate search handles the piecewise constant box
+gain, whose objective counts consensus.
 
 The objective is nonconcave, so fits run from an ordinary-least-squares
 anchor plus seeded perturbations and keep the best restart.  An optional
@@ -113,17 +115,15 @@ def gain_gradient(
 ) -> np.ndarray:
     """Gradient of the empirical gain in the coefficients."""
     X = design_matrix(model.feature_map, data.inputs)
-    return _gradient(X, data.outputs, model.coefficients, spec, sigma)
+    return _gradient(X, data.outputs - X @ model.coefficients, spec, sigma)
 
 
 def _mean_gain(spec: GainSpec, sigma: float, residuals: np.ndarray) -> float:
     return float(np.mean(eval_gain(spec, sigma, residuals)))
 
 
-def _gradient(
-    X: np.ndarray, y: np.ndarray, coeffs: np.ndarray, spec: GainSpec, sigma: float
-) -> np.ndarray:
-    return -(X.T @ eval_gain_derivative(spec, sigma, y - X @ coeffs)) / len(y)
+def _gradient(X: np.ndarray, residuals: np.ndarray, spec: GainSpec, sigma: float) -> np.ndarray:
+    return -(X.T @ eval_gain_derivative(spec, sigma, residuals)) / len(residuals)
 
 
 def _weighted_solve(
@@ -232,28 +232,39 @@ def _gradient_stage(
     trace: list[float],
     features: int,
 ) -> tuple[np.ndarray, int, bool]:
-    """Backtracking ascent; accepted steps never decrease the gain.
+    """Backtracking ascent from two-point steps; accepted steps never decrease the gain.
 
-    The starting gain and each accepted step's gain go onto ``trace``, so its last
-    entry is the gain of the returned coefficients.  ``features`` matches the
-    reweighting stage's signature; a gradient step has no ridge.
+    The first step is ``_STEP_INIT``.  Each later one starts from the Barzilai-Borwein
+    step s's / (-s'dg), with s the last coefficient move and dg the gradient's change,
+    or from twice the last accepted step where s'dg >= 0; it is capped at 1e9
+    ``_STEP_INIT`` and halved until the gain does not fall.  The accepted candidate's
+    residuals give the next gradient.  The starting gain and each accepted step's gain
+    go onto ``trace``, so its last entry is the gain of the returned coefficients.
+    ``features`` matches the reweighting stage's signature; a gradient step has no ridge.
     """
-    gain = _mean_gain(spec, sigma, y - X @ coeffs)
+    residuals = y - X @ coeffs
+    gain = _mean_gain(spec, sigma, residuals)
     trace.append(gain)
     step = _STEP_INIT
+    move = last_grad = None
     converged = False
     iters = 0
     for _ in range(cfg.max_iters):
         iters += 1
-        grad = _gradient(X, y, coeffs, spec, sigma)
+        grad = _gradient(X, residuals, spec, sigma)
         norm = float(np.linalg.norm(grad))
         if norm == 0.0:
             converged = True
             break
+        if move is not None:
+            curvature = -float(move @ (grad - last_grad))
+            step = float(move @ move) / curvature if curvature > 0.0 else step / _STEP_SHRINK
+            step = min(step, 1e9 * _STEP_INIT)  # keeps the step finite
         accepted = False
         for _ in range(_MAX_STEP_HALVINGS):
             candidate = coeffs + step * grad
-            cand_gain = _mean_gain(spec, sigma, y - X @ candidate)
+            cand_residuals = y - X @ candidate
+            cand_gain = _mean_gain(spec, sigma, cand_residuals)
             if cand_gain >= gain:
                 accepted = True
                 break
@@ -262,10 +273,9 @@ def _gradient_stage(
             converged = True
             break
         improvement = cand_gain - gain
-        coeffs, gain = candidate, cand_gain
+        move, last_grad = candidate - coeffs, grad
+        coeffs, gain, residuals = candidate, cand_gain, cand_residuals
         trace.append(gain)
-        # Allow growth after success, capped so the step stays finite.
-        step = min(step / _STEP_SHRINK, 1e9 * _STEP_INIT)
         if improvement <= cfg.tol * max(1.0, abs(gain)):
             converged = True
             break
@@ -565,7 +575,9 @@ def kfold_select(
 
     def score(task: int) -> list[float]:
         candidate, held = candidates[task // folds], parts[task % folds]
-        reports = fit(_subset(data, np.setdiff1d(np.arange(data.n), held)), candidate)
+        train = np.ones(data.n, dtype=bool)
+        train[held] = False
+        reports = fit(_subset(data, np.flatnonzero(train)), candidate)
         return [empirical_gain(r.model, _subset(data, held), spec, r.sigma) for r in reports]
 
     scores = list(mapper(score, range(len(candidates) * folds)))

@@ -97,6 +97,18 @@ def test_fit_save_load_round_trip(tmp_path):
         model_path.read_text().rstrip("\n")
 
 
+def test_gradient_fit_save_is_byte_identical_across_runs(tmp_path):
+    data = tmp_path / "d.csv"
+    assert run("simulate", "--model", "location", "--n", "120", "--seed", "6",
+               "--noise", "student_t:2.5", "--truth", "linear:2:1", "--out", str(data)) == 0
+    saved = []
+    for name in ("a.json", "b.json"):
+        assert run("fit", "--data", str(data), "--gain", "laplace", "--sigma", "1",
+                   "--restarts", "3", "--anneal", "4,2", "--save", str(tmp_path / name)) == 0
+        saved.append((tmp_path / name).read_bytes())
+    assert saved[0] == saved[1]
+
+
 def test_fit_save_load_warm_start(tmp_path):
     data = tmp_path / "d.csv"
     first = tmp_path / "m1.json"

@@ -6,6 +6,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gainreg as gr
 from gainreg import bench, solver
@@ -17,6 +19,7 @@ from gainreg.errors import (
     SingularSystemError,
     UnsupportedOperationError,
 )
+from gainreg.rng import generator
 
 TYPE2 = ["triweight", "epanechnikov", "cauchy", "gaussian", "cosine", "quartic"]
 
@@ -112,6 +115,74 @@ def test_gradient_method_never_decreases(cat):
     assert np.all(np.diff(trace) >= -1e-14)
     # Should land close to the best residual location.
     assert report.empirical_gain > 0.8
+
+
+def _counting_gain_calls(monkeypatch):
+    """Record the residual arrays each gain and gain-derivative call of the solver gets."""
+    seen = {"gain": [], "derivative": []}
+    real_gain, real_derivative = solver.eval_gain, solver.eval_gain_derivative
+
+    def gain(spec, sigma, residuals):
+        seen["gain"].append(residuals)
+        return real_gain(spec, sigma, residuals)
+
+    def derivative(spec, sigma, residuals):
+        seen["derivative"].append(residuals)
+        return real_derivative(spec, sigma, residuals)
+
+    monkeypatch.setattr(solver, "eval_gain", gain)
+    monkeypatch.setattr(solver, "eval_gain_derivative", derivative)
+    return seen
+
+
+def test_gradient_stage_evaluates_each_candidate_once(cat, monkeypatch):
+    # One gain evaluation per candidate, one derivative per iteration, and each
+    # gradient reads the residuals of the candidate just accepted.
+    data = linear_data(seed=30)
+    X = gr.design_matrix(gr.linear_map(1), data.inputs)
+    cfg = gr.SolverConfig(method="gradient", max_iters=150, tol=1e-10)
+    seen = _counting_gain_calls(monkeypatch)
+    trace = []
+    coeffs, iters, _ = solver._gradient_stage(
+        X, data.outputs, np.zeros(2), cat["laplace"], 2.0, cfg, trace, 2
+    )
+    assert len(seen["derivative"]) == iters > 5
+    assert len(trace) == iters + 1  # stopped by the tolerance, after an accepted step
+    residuals = seen["gain"]
+    for i, a in enumerate(residuals):
+        assert not any(np.array_equal(a, b) for b in residuals[i + 1:])
+    assert all(any(r is a for a in residuals) for r in seen["derivative"])
+    assert np.array_equal(residuals[-1], data.outputs - X @ coeffs)
+
+
+def test_gradient_fit_stays_under_its_evaluation_budget(cat, monkeypatch):
+    # The problem of test_gradient_method_never_decreases.  Two-point steps take 58
+    # gain evaluations; doubling after every success and halving back took 71.
+    seen = _counting_gain_calls(monkeypatch)
+    data = linear_data(seed=30)
+    cfg = gr.SolverConfig(method="gradient", max_iters=150, tol=1e-10, restarts=1)
+    report = gr.fit_egm(data, cat["laplace"], 2.0, gr.linear_map(1), cfg)
+    assert report.converged and report.empirical_gain > 0.96
+    assert len(seen["gain"]) <= 60
+
+
+@pytest.mark.parametrize("name", ["laplace", "tricube", "triangular"])
+def test_gradient_traces_are_monotone_on_every_anneal_stage(cat, monkeypatch, name):
+    traces = []
+    real = solver._gradient_stage
+
+    def stage(X, y, coeffs, spec, sigma, cfg, trace, features):
+        traces.append(trace)
+        return real(X, y, coeffs, spec, sigma, cfg, trace, features)
+
+    monkeypatch.setattr(solver, "_gradient_stage", stage)
+    data = _outlier_data(lambda x: 1.5 * x - 0.5, seed=7)
+    cfg = gr.SolverConfig(method="gradient", restarts=3, seed=2, anneal=(8.0, 4.0, 2.0))
+    report = gr.fit_egm(data, cat[name], 1.0, gr.linear_map(1), cfg)
+    assert len(traces) == 3 * 4  # three restarts of four stages
+    for trace in traces:
+        assert len(trace) > 1 and np.all(np.diff(trace) >= 0.0)
+    assert report.gain_trace in [tuple(t) for t in traces[3::4]]
 
 
 @pytest.mark.parametrize("name", [n for n in TYPE2 + ["laplace", "tricube", "triangular"]])
@@ -371,6 +442,47 @@ def test_cross_validation_contract(cat):
         gr.cross_validate_sigma(data, cat["gaussian"], [1.0], fmap, cfg, 1, seed=0)
     with pytest.raises(InvalidParameterError):
         gr.cross_validate_sigma(data, cat["gaussian"], [], fmap, cfg, 3, seed=0)
+
+
+@settings(max_examples=40)
+@given(n=st.integers(2, 300), folds=st.integers(2, 12), seed=st.integers(0, 2**16))
+def test_kfold_training_splits_are_the_sorted_complements(n, folds, seed):
+    folds = min(folds, n)
+    data = gr.Dataset(inputs=np.arange(n, dtype=float)[:, None], outputs=np.zeros(n))
+    splits = []
+
+    def fit(train, _):
+        splits.append(train.inputs[:, 0].astype(int))
+        return []
+
+    solver.kfold_select(data, None, [1.0], fit, folds, seed, "cv-shuffle")
+    order = generator(seed, "cv-shuffle").permutation(n)
+    assert len(splits) == folds
+    for k, train in enumerate(splits):
+        assert np.array_equal(train, np.setdiff1d(np.arange(n), order[k::folds]))
+
+
+def test_cross_validate_sigma_table_is_pinned(cat):
+    # Values from the release that built training splits with np.setdiff1d, on
+    # OpenBLAS 0.3.31; the reconstruction below repeats that computation exactly.
+    data = linear_data(n=83, seed=90)
+    fmap, spec, grid = gr.linear_map(1), cat["gaussian"], [0.25, 0.5, 1.0, 2.0]
+    cfg = gr.SolverConfig(method="irls", restarts=2, seed=4)
+    best, table = gr.cross_validate_sigma(data, spec, grid, fmap, cfg, 5, seed=9)
+    pinned = [0.9278073469259356, 0.9804937879294229, 0.9950225164843717, 0.9987491506011732]
+    assert best == 2.0 and [s for s, _ in table] == grid
+    assert [score for _, score in table] == pytest.approx(pinned, rel=1e-12, abs=0.0)
+    order = generator(9, "cv-shuffle").permutation(data.n)
+    expected = []
+    for sigma in grid:
+        scores = []
+        for k in range(5):
+            held = order[k::5]
+            train = solver._subset(data, np.setdiff1d(np.arange(data.n), held))
+            report = gr.fit_egm(train, spec, sigma, fmap, cfg)
+            scores.append(gr.empirical_gain(report.model, solver._subset(data, held), spec, sigma))
+        expected.append((sigma, float(np.mean(scores))))
+    assert table == expected
 
 
 def test_cross_validation_small_folds_without_ridge_are_singular(cat):
