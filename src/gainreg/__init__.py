@@ -13,7 +13,6 @@ __version__ = "0.1.0"
 
 from .calibrate import (
     CertReport,
-    LocationProblem,
     SandwichReport,
     calibration_gap,
     check_gain_axioms,
@@ -65,6 +64,7 @@ from .gains import (
 from .quadrature import QuadratureConfig
 from .simulate import (
     Dataset,
+    LocationProblem,
     NoiseSpec,
     gen_location,
     gen_toy,

@@ -14,9 +14,9 @@ from __future__ import annotations
 import os
 import threading
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
-from typing import Callable, Iterator, Sequence
+from typing import Any, Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -71,12 +71,12 @@ def _split_fits(
     *,
     spec: GainSpec,
     seed: int,
-    scales: Sequence[tuple[float, SolverConfig]],
+    sigmas: Sequence[float],
 ) -> list[FitReport]:
-    """One training split's kernel fit at every (scale, config)."""
+    """One training split's kernel fit at every scale."""
     fmap = kernel_map(subsample_centers(sub.inputs, DEFAULT_CENTER_CAP, seed), bw)
     # The scales are fitted back to back on one design matrix, so the solver factors it once.
-    return [fit_egm(sub, spec, sigma, fmap, cfg) for sigma, cfg in scales]
+    return [fit_egm(sub, spec, s, fmap, toy_solver_config(s, seed)) for s in sigmas]
 
 
 @dataclass(frozen=True)
@@ -130,44 +130,43 @@ def bench_toy(
 
     Every scale's bandwidth cross-validation splits the same training set the
     same way, so one task fits a (bandwidth, fold) split at every scale, back to
-    back on one design matrix.  The split tasks, then the per-scale final fits,
-    run through ``_worker_map``.
+    back on one design matrix.  The split tasks, then one final fit per (scale,
+    bandwidth) task, run through ``_worker_map``.
     """
     train = gen_toy(n_train, seed)
     test = gen_toy(n_test, seed + 1)
     spec = catalog()["gaussian"]
-    scales = [(s, toy_solver_config(s, seed)) for s in sorted({float(s) for s in sigmas})]
+    scales = sorted({float(s) for s in sigmas})
     if not scales:
         raise InvalidParameterError("the toy benchmark needs at least one scale")
-    grid = list(TOY_BANDWIDTH_GRID)
-    split = partial(_split_fits, spec=spec, seed=seed, scales=scales)
+    split = partial(_split_fits, spec=spec, seed=seed, sigmas=scales)
 
-    def final(task: int) -> ToyFitResult:
-        scale, bw = divmod(task, len(grid))
-        return toy_fit_at_scale(train, test, scales[scale][0], grid[bw], seed, restarts)
+    def final(task: tuple[float, float]) -> ToyFitResult:
+        return toy_fit_at_scale(train, test, *task, seed, restarts)
 
     with _worker_map(final) as mapper:
-        choices = kfold_select(train, spec, grid, split, folds, seed, "bw-shuffle", mapper)
-        return mapper(final, [i * len(grid) + grid.index(bw) for i, (bw, _) in enumerate(choices)])
+        choices = kfold_select(train, spec, TOY_BANDWIDTH_GRID, split, folds, seed,
+                               "bw-shuffle", mapper)
+        return mapper(final, [(s, bw) for s, (bw, _) in zip(scales, choices)])
 
 
 # The task functions of a pool's workers, set in each worker by the pool's
-# initializer; they reach it through the fork, so only (function, task) indices
-# and results cross the pipe.
-_worker_tasks: tuple[Callable[[int], object], ...] = ()
+# initializer; they reach it through the fork, so only a function's index, its
+# picklable task and the result cross the pipe.
+_worker_tasks: tuple[Callable[[Any], object], ...] = ()
 
 
-def _inherit_tasks(functions: tuple[Callable[[int], object], ...]) -> None:
+def _inherit_tasks(functions: tuple[Callable[[Any], object], ...]) -> None:
     global _worker_tasks
     _worker_tasks = functions
 
 
-def _run_task(job: tuple[int, int]) -> object:
+def _run_task(job: tuple[int, Any]) -> object:
     which, task = job
     return _worker_tasks[which](task)
 
 
-def _fork_executor(functions: tuple[Callable[[int], object], ...], tasks: int):
+def _fork_executor(functions: tuple[Callable[[Any], object], ...], tasks: int):
     """A fork-context executor whose workers run ``functions``, one per CPU this
     process may run on and at most ``tasks``, its workers already forked.
 
@@ -211,7 +210,7 @@ def _fork_executor(functions: tuple[Callable[[int], object], ...], tasks: int):
 
 
 @contextmanager
-def _worker_map(*later: Callable[[int], object]) -> Iterator[Callable]:
+def _worker_map(*later: Callable[[Any], object]) -> Iterator[Callable]:
     """A ``map(fn, tasks)`` over forked worker processes for the length of the block.
 
     The workers fork at the first call and inherit that call's ``fn`` and the
@@ -223,9 +222,9 @@ def _worker_map(*later: Callable[[int], object]) -> Iterator[Callable]:
     with the block, once the tasks they are running finish.
     """
     executor = None
-    functions: tuple[Callable[[int], object], ...] = ()
+    functions: tuple[Callable[[Any], object], ...] = ()
 
-    def mapper(fn: Callable[[int], object], tasks) -> list:
+    def mapper(fn: Callable[[Any], object], tasks) -> list:
         nonlocal executor, functions
         tasks = list(tasks)
         if not functions:
@@ -307,8 +306,8 @@ def bench_rates(
                 _mc_sq_error(predict_batch(report.model, x_mc), truth_vals)
             )
             ols = np.linalg.lstsq(design_matrix(fmap, data.inputs), data.outputs, rcond=None)[0]
-            ols_vals = design_matrix(fmap, x_mc) @ ols
-            ols_errors.append(_mc_sq_error(ols_vals, truth_vals))
+            ols_model = replace(report.model, coefficients=ols, clip=False)
+            ols_errors.append(_mc_sq_error(predict_batch(ols_model, x_mc), truth_vals))
         cells.append(
             RateCell(
                 n=n,

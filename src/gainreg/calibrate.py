@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -33,8 +33,8 @@ from .quadrature import (
     integrate_checked,
     nodes_weights,
 )
+from .simulate import LocationProblem
 
-DENSITY_NORM_TOL = 1e-8
 # Grid points of the finite-difference supremum searches behind the Lipschitz estimates.
 _LIPSCHITZ_GRID = 200_001
 # Cosine quadrature of an unbounded gain without a closed form runs over this many sigmas.
@@ -52,53 +52,8 @@ class CertReport:
     gain: str
     axiom_pass: bool
     estimated: dict[str, float] = field(default_factory=dict)
-    declared: dict[str, float] = field(default_factory=dict)
     max_violation: float = 0.0
     notes: tuple[str, ...] = ()
-
-
-@dataclass(frozen=True)
-class LocationProblem:
-    """Constant-offset regression slice: y = f*(x) + eps with f - f* = delta.
-
-    The offset makes the squared population distance exactly delta^2, which
-    isolates calibration behavior from estimation error.  ``noise_scale``
-    and ``noise_breakpoints`` steer quadrature windows and panel edges.
-    """
-
-    noise_density: Callable[[np.ndarray], np.ndarray]
-    offset: float
-    M: float
-    noise_scale: float = 1.0
-    noise_breakpoints: tuple[float, ...] = ()
-
-    def __post_init__(self) -> None:
-        if self.M <= 0:
-            raise InvalidParameterError(f"M must be positive, got {self.M}")
-        if abs(self.offset) > self.M:
-            raise InvalidParameterError(
-                f"offset {self.offset} exceeds the sup bound M = {self.M}"
-            )
-        if self.noise_scale <= 0:
-            raise InvalidParameterError("noise_scale must be positive")
-        total = _density_mass(self.noise_density, self.noise_scale, self.noise_breakpoints)
-        if abs(total - 1.0) > DENSITY_NORM_TOL:
-            raise InvalidParameterError(
-                f"noise density integrates to {total!r}, not 1 (tol {DENSITY_NORM_TOL})"
-            )
-
-
-def _density_mass(
-    density: Callable[[np.ndarray], np.ndarray],
-    scale: float,
-    breakpoints: Sequence[float],
-) -> float:
-    # Geometric windows handle power-law tails: one panel family per decade.
-    edges = [scale * 10.0**k for k in range(0, 7)]
-    bps = sorted({*breakpoints, *(e for e in edges), *(-e for e in edges)})
-    cfg = QuadratureConfig(half_width=20.0, nodes=8192)
-    w = edges[-1]
-    return integrate(density, -w, w, cfg, breakpoints=bps)
 
 
 def check_gain_axioms(spec: GainSpec, quad: QuadratureConfig) -> CertReport:

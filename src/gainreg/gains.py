@@ -503,17 +503,12 @@ def _base_specs() -> tuple[GainSpec, ...]:
     )
 
 
-def catalog(tukey_powers: Sequence[tuple[int, int]] = ()) -> dict[str, GainSpec]:
-    """All built-in gains by name, plus optional generalized-Tukey entries.
+def catalog() -> dict[str, GainSpec]:
+    """All built-in gains by name.
 
-    ``tukey_powers`` entries ``(m, n)`` append ``generalized_tukey_m_n`` specs;
-    ``m < 1`` or ``n < 1`` raises an invalid-parameter error.  Specs are
-    immutable and shared across calls; the returned mapping is fresh.
+    Specs are immutable and shared across calls; the returned mapping is fresh.
     """
-    specs = list(_base_specs())
-    for m, n in tukey_powers:
-        specs.append(generalized_tukey(m, n))
-    return {s.name: s for s in specs}
+    return {s.name: s for s in _base_specs()}
 
 
 def mixture_gain(components: Sequence[tuple[float, float]]) -> GainSpec:

@@ -16,14 +16,15 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .calibrate import LocationProblem
 from .errors import InvalidInputError, InvalidParameterError, UnsupportedOperationError
+from .quadrature import QuadratureConfig, integrate
 from .rng import generator
 
 GAUSSIAN_MIXTURE = "gaussian_mixture"
 STUDENT_T = "student_t"
 SYMMETRIC_PARETO = "symmetric_pareto"
 CONTAMINATED = "contaminated"
+DENSITY_NORM_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -281,6 +282,50 @@ def gen_location(n: int, truth, noise: NoiseSpec, seed: int, input_dim: int = 1)
     x = rng.random((n, input_dim))
     eps = noise.sample(rng, n)
     return Dataset(inputs=x, outputs=fn(x) + eps, seed=seed, noise=noise, truth=label)
+
+
+@dataclass(frozen=True)
+class LocationProblem:
+    """Constant-offset regression slice: y = f*(x) + eps with f - f* = delta.
+
+    The offset makes the squared population distance exactly delta^2, which
+    isolates calibration behavior from estimation error.  ``noise_scale``
+    and ``noise_breakpoints`` steer quadrature windows and panel edges.
+    """
+
+    noise_density: Callable[[np.ndarray], np.ndarray]
+    offset: float
+    M: float
+    noise_scale: float = 1.0
+    noise_breakpoints: tuple[float, ...] = ()
+
+    def __post_init__(self) -> None:
+        if self.M <= 0:
+            raise InvalidParameterError(f"M must be positive, got {self.M}")
+        if abs(self.offset) > self.M:
+            raise InvalidParameterError(
+                f"offset {self.offset} exceeds the sup bound M = {self.M}"
+            )
+        if self.noise_scale <= 0:
+            raise InvalidParameterError("noise_scale must be positive")
+        total = _density_mass(self.noise_density, self.noise_scale, self.noise_breakpoints)
+        if abs(total - 1.0) > DENSITY_NORM_TOL:
+            raise InvalidParameterError(
+                f"noise density integrates to {total!r}, not 1 (tol {DENSITY_NORM_TOL})"
+            )
+
+
+def _density_mass(
+    density: Callable[[np.ndarray], np.ndarray],
+    scale: float,
+    breakpoints: Sequence[float],
+) -> float:
+    # Geometric windows handle power-law tails: one panel family per decade.
+    edges = [scale * 10.0**k for k in range(0, 7)]
+    bps = sorted({*breakpoints, *(e for e in edges), *(-e for e in edges)})
+    cfg = QuadratureConfig(half_width=20.0, nodes=8192)
+    w = edges[-1]
+    return integrate(density, -w, w, cfg, breakpoints=bps)
 
 
 def location_problem(

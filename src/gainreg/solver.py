@@ -355,28 +355,18 @@ def _grid_consensus(
     return best, best_count
 
 
-def _validate_method(spec: GainSpec, method: str) -> None:
-    box = spec.generating_deriv is None  # piecewise constant: fit by counting consensus
-    if box != (method == GRID_CONSENSUS):
-        raise UnsupportedOperationError(
-            f"{spec.name}: grid_consensus fits box gains (no derivative), and only them"
-        )
-    if method == IRLS and spec.calibration == "none":
-        raise UnsupportedOperationError(
-            f"{spec.name}: reweighting needs a calibrated (type-2) gain; "
-            "use the gradient method"
-        )
+def _methods(spec: GainSpec) -> tuple[str, ...]:
+    """The methods that can fit the gain, its default first."""
+    if spec.generating_deriv is None:
+        return (GRID_CONSENSUS,)
+    if spec.calibration != "none":
+        return (IRLS, GRADIENT)
+    return (GRADIENT,)
 
 
 def default_config(spec: GainSpec, **overrides) -> SolverConfig:
-    """Method selection by gain class: consensus for a box, else IRLS, else gradient."""
-    if spec.generating_deriv is None:
-        method = GRID_CONSENSUS
-    elif spec.calibration != "none":
-        method = IRLS
-    else:
-        method = GRADIENT
-    return SolverConfig(method=method, **overrides)
+    """A config with the gain's default method."""
+    return SolverConfig(method=_methods(spec)[0], **overrides)
 
 
 def fit_egm(
@@ -402,7 +392,11 @@ def fit_egm(
         raise InvalidInputError("cannot fit an empty dataset")
     if cfg is None:
         cfg = default_config(spec)
-    _validate_method(spec, cfg.method)
+    methods = _methods(spec)
+    if cfg.method not in methods:
+        raise UnsupportedOperationError(
+            f"{spec.name}: {cfg.method} cannot fit this gain; {' or '.join(methods)} can"
+        )
 
     if not (np.all(np.isfinite(data.inputs)) and np.all(np.isfinite(data.outputs))):
         raise InvalidInputError("inputs and outputs must be finite")
@@ -423,74 +417,63 @@ def fit_egm(
 
     if cfg.method == GRID_CONSENSUS:
         coeffs, count = _grid_consensus(X, y, spec, sigma, cfg)
-        model = HypothesisModel(feature_map=fmap, coefficients=coeffs, M=bound, clip=clip)
         gain = count / (data.n * 2.0 * sigma)
-        return FitReport(
-            model=model,
-            empirical_gain=gain,
-            sigma=sigma,
-            iterations=_CONSENSUS_SWEEPS,
-            gain_trace=(gain,),
-            restart_gains=(gain,),
-            converged=True,
-            method=cfg.method,
-            rank=p,
-        )
-
-    stage_fn = _irls_stage if cfg.method == IRLS else _gradient_stage
-    # Without a ridge a rank-deficient system must stay singular, so the
-    # full basis is kept; with one, the fit runs in Z = X V and maps back.
-    basis = None if ridge_off else _rank_basis(X)
-    Z = X if basis is None else X @ basis
-    if init_coefficients is not None:
-        anchor = np.asarray(init_coefficients, dtype=float).ravel()
-        if anchor.shape[0] != p:
-            raise InvalidParameterError(
-                f"{anchor.shape[0]} warm-start coefficients for {p} features"
-            )
-        anchor_norm = float(np.linalg.norm(anchor))
-        if basis is not None:
-            anchor = basis.T @ anchor
+        trace, restart_gains = [gain], [gain]
+        iters, converged, rank = _CONSENSUS_SWEEPS, True, p
     else:
-        anchor = _ols(Z, y, cfg.ridge, p)
-        anchor_norm = float(np.linalg.norm(anchor if basis is None else basis @ anchor))
-
-    best: Optional[tuple[float, np.ndarray, list[float], int, bool]] = None
-    restart_gains: list[float] = []
-    degenerate: Optional[DegenerateIterateError] = None
-    for r in range(cfg.restarts):
-        if r == 0:
-            coeffs = anchor.copy()
+        stage_fn = _irls_stage if cfg.method == IRLS else _gradient_stage
+        # Without a ridge a rank-deficient system must stay singular, so the
+        # full basis is kept; with one, the fit runs in Z = X V and maps back.
+        basis = None if ridge_off else _rank_basis(X)
+        Z = X if basis is None else X @ basis
+        if init_coefficients is not None:
+            anchor = np.asarray(init_coefficients, dtype=float).ravel()
+            if anchor.shape[0] != p:
+                raise InvalidParameterError(
+                    f"{anchor.shape[0]} warm-start coefficients for {p} features"
+                )
+            anchor_norm = float(np.linalg.norm(anchor))
+            if basis is not None:
+                anchor = basis.T @ anchor
         else:
-            # Drawn in the p feature dimensions, so the streams match at any rank.
-            noise = generator(cfg.seed, "restart", r).standard_normal(p)
-            scale = 0.5 * (anchor_norm if anchor_norm > 0 else 1.0)
-            step = scale * noise / max(np.linalg.norm(noise), 1e-300)
-            coeffs = anchor + (step if basis is None else basis.T @ step)
-        try:
-            iters = 0
-            for stage_sigma in (*stages, sigma):
-                trace: list[float] = []
-                coeffs, it, converged = stage_fn(Z, y, coeffs, spec, stage_sigma, cfg, trace, p)
-                iters += it
-        except DegenerateIterateError as exc:
-            # A wild restart can leave every residual outside the support;
-            # skip it unless every restart degenerates.
-            degenerate = exc
-            restart_gains.append(-math.inf)
-            continue
-        gain = trace[-1]
-        restart_gains.append(gain)
-        if best is None or gain > best[0]:
-            best = (gain, coeffs, trace, iters, converged)
+            anchor = _ols(Z, y, cfg.ridge, p)
+            anchor_norm = float(np.linalg.norm(anchor if basis is None else basis @ anchor))
 
-    if best is None:
-        raise degenerate if degenerate is not None else DegenerateIterateError(
-            "no restart produced a usable iterate"
-        )
-    gain, coeffs, trace, iters, converged = best
-    if basis is not None:
-        coeffs = basis @ coeffs
+        best: Optional[tuple[float, np.ndarray, list[float], int, bool]] = None
+        restart_gains: list[float] = []
+        degenerate: Optional[DegenerateIterateError] = None
+        for r in range(cfg.restarts):
+            if r == 0:
+                coeffs = anchor.copy()
+            else:
+                # Drawn in the p feature dimensions, so the streams match at any rank.
+                noise = generator(cfg.seed, "restart", r).standard_normal(p)
+                scale = 0.5 * (anchor_norm if anchor_norm > 0 else 1.0)
+                step = scale * noise / max(np.linalg.norm(noise), 1e-300)
+                coeffs = anchor + (step if basis is None else basis.T @ step)
+            try:
+                iters = 0
+                for stage_sigma in (*stages, sigma):
+                    trace: list[float] = []
+                    coeffs, it, converged = stage_fn(Z, y, coeffs, spec, stage_sigma, cfg, trace, p)
+                    iters += it
+            except DegenerateIterateError as exc:
+                # A wild restart can leave every residual outside the support;
+                # skip it unless every restart degenerates.
+                degenerate = exc
+                restart_gains.append(-math.inf)
+                continue
+            gain = trace[-1]
+            restart_gains.append(gain)
+            if best is None or gain > best[0]:
+                best = (gain, coeffs, trace, iters, converged)
+
+        if best is None:  # every restart degenerated
+            raise degenerate
+        gain, coeffs, trace, iters, converged = best
+        rank = Z.shape[1]
+        if basis is not None:
+            coeffs = basis @ coeffs
     model = HypothesisModel(feature_map=fmap, coefficients=coeffs, M=bound, clip=clip)
     return FitReport(
         model=model,
@@ -501,7 +484,7 @@ def fit_egm(
         restart_gains=tuple(restart_gains),
         converged=converged,
         method=cfg.method,
-        rank=Z.shape[1],
+        rank=rank,
     )
 
 

@@ -84,8 +84,7 @@ def test_toy_needs_a_scale():
 def test_bandwidth_cv_prefers_sensible_scale():
     train = gr.gen_toy(150, seed=5)
     spec = gr.catalog()["gaussian"]
-    fit = partial(bench._split_fits, spec=spec, seed=5,
-                  scales=[(10.0, bench.toy_solver_config(10.0, 5))])
+    fit = partial(bench._split_fits, spec=spec, seed=5, sigmas=[10.0])
     best, table = solver.kfold_select(train, spec, [0.05, 0.2, 1.0], fit, 3, 5, "bw-shuffle")[0]
     assert best in (0.05, 0.2, 1.0)
     assert len(table) == 3
@@ -199,6 +198,21 @@ def test_in_process_runs_give_the_rows_of_the_pool(monkeypatch):
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
     assert _rows(bench_toy(**TOY)) == pooled
     assert len(forks) == 2
+
+
+@pytest.mark.parametrize("cpus, workers", [({0, 1}, 2), ({0}, 0)], ids=["pooled", "in-process"])
+def test_bench_toy_rows_are_pinned_for_unsorted_repeated_scales(monkeypatch, cpus, workers):
+    # Each final fit's task is its own (scale, bandwidth).  The values were pinned when
+    # tasks were still indices into the grid, to 1e-12 relative, since other BLAS builds
+    # may round differently.
+    forks = _count_forks(monkeypatch)
+    _cpus(monkeypatch, cpus)
+    rows = _rows(bench_toy(40, 30, [10.0, 0.5, 10.0], seed=4, folds=3, restarts=2))
+    assert len(forks) == workers
+    pinned = [(0.5, 1.0, 2.2390165555808896, 0.2916277085661897, 0.39633320908883135),
+              (10.0, 0.5, 1.7488697887724773, 2.9795121070769035, 0.9246451948852485)]
+    assert [row[:2] for row in rows] == [row[:2] for row in pinned]
+    assert [row[2:5] for row in rows] == [pytest.approx(row[2:], rel=1e-12) for row in pinned]
 
 
 def test_a_pool_that_cannot_start_falls_back_in_process(monkeypatch):

@@ -322,13 +322,6 @@ def test_generalized_tukey_searched_constants_are_sane(cat):
     assert searched.L1 == pytest.approx(96.0 / (25.0 * math.sqrt(5.0)), rel=0.02)
 
 
-def test_catalog_with_extra_tukey_entries():
-    cat = gr.catalog(tukey_powers=[(2, 4), (4, 2)])
-    assert "generalized_tukey_2_4" in cat and "generalized_tukey_4_2" in cat
-    with pytest.raises(InvalidParameterError):
-        gr.catalog(tukey_powers=[(0, 1)])
-
-
 def test_l3_consistency_across_catalog(cat):
     for spec in cat.values():
         if spec.constants is not None:

@@ -1,4 +1,4 @@
-"""Module hygiene: an acyclic import graph and no borrowed private names."""
+"""Module hygiene: a layered, acyclic import graph and no borrowed private names."""
 
 import ast
 import os
@@ -52,6 +52,23 @@ def test_import_graph_is_acyclic():
 
     for module in graph:
         visit(module, ())
+
+
+# Each module imports only modules before it: the layering of the package.
+ORDER = ("errors", "rng", "quadrature", "gains", "simulate", "features", "solver", "calibrate",
+         "bench", "__init__", "cli")
+
+
+def test_every_import_points_to_an_earlier_module():
+    graph = _graph()
+    assert set(graph) == set(ORDER)
+    backward = [
+        f"{module} imports {dep}"
+        for module, deps in graph.items()
+        for dep in sorted(deps)
+        if ORDER.index(dep) >= ORDER.index(module)
+    ]
+    assert backward == []
 
 
 def test_no_module_imports_another_modules_private_names():

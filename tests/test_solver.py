@@ -269,16 +269,28 @@ def test_uniform_requires_grid_consensus(cat):
 def test_method_dispatch_follows_capabilities_not_names(cat):
     # A renamed spec keeps its solver: the method follows what the gain can do.
     data = linear_data(seed=51)
-    for spec, method in ((replace(cat["gaussian"], name="uniform"), "irls"),
-                         (replace(cat["uniform"], name="box"), "grid_consensus"),
-                         (replace(cat["laplace"], name="gaussian"), "gradient")):
+    box, both, ascent = ("grid_consensus",), ("irls", "gradient"), ("gradient",)
+    table = [(cat[name], both) for name in TYPE2]
+    table += [(cat["uniform"], box)]
+    table += [(cat[name], ascent) for name in ("laplace", "tricube", "triangular")]
+    table += [(replace(cat["gaussian"], name="uniform"), both),
+              (replace(cat["uniform"], name="box"), box),
+              (replace(cat["laplace"], name="gaussian"), ascent),
+              # A calibrated gain without its representing function cannot be reweighted.
+              (replace(cat["cauchy"], representing_fn=None, representing_deriv=None), ascent)]
+    assert set(cat) == {spec.name for spec, _ in table[: len(cat)]}
+    for spec, methods in table:
+        assert solver._methods(spec) == methods, spec.name
         cfg = gr.default_config(spec, seed=1)
-        assert cfg.method == method, spec.name
-        assert gr.fit_egm(data, spec, 0.5, gr.linear_map(1), cfg).method == method
-        assert gr.fit_egm(data, spec, 0.5, gr.linear_map(1)).method == method
-    with pytest.raises(UnsupportedOperationError):
-        gr.fit_egm(data, replace(cat["uniform"], name="box"), 0.5, gr.linear_map(1),
-                   gr.SolverConfig(method="gradient"))
+        assert cfg.method == methods[0], spec.name
+        assert gr.fit_egm(data, spec, 0.5, gr.linear_map(1)).method == methods[0]
+        for method in ("irls", "gradient", "grid_consensus"):
+            cfg = gr.SolverConfig(method=method, seed=1)
+            if method in methods:
+                assert gr.fit_egm(data, spec, 0.5, gr.linear_map(1), cfg).method == method
+                continue
+            with pytest.raises(UnsupportedOperationError, match=" or ".join(methods) + " can"):
+                gr.fit_egm(data, spec, 0.5, gr.linear_map(1), cfg)
 
 
 def test_cross_validation_routines_share_one_kfold_core(cat, monkeypatch):
@@ -318,6 +330,12 @@ def test_grid_consensus_recovers_majority_line(cat):
     # Gain equals consensus fraction over 2 sigma and covers most inliers.
     frac = report.empirical_gain * 2 * 0.1
     assert frac >= 0.55
+    # The rest of the report: 78 of 120 residuals within sigma, three sweeps, full rank.
+    assert report.empirical_gain == 78 / (120 * 2 * 0.1)
+    assert report.gain_trace == report.restart_gains == (report.empirical_gain,)
+    assert (report.iterations, report.converged, report.rank) == (3, True, 2)
+    assert (report.sigma, report.method) == (0.1, "grid_consensus")
+    assert report.model.M == gr.default_sup_bound(y) and not report.model.clip
 
 
 def _consensus_problem(n, seed):
