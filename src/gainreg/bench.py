@@ -15,19 +15,17 @@ import os
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from functools import partial
 from typing import Any, Callable, Iterator, Sequence
 
 import numpy as np
 
 from .errors import GainRegError, InvalidParameterError
 from .features import DEFAULT_CENTER_CAP, design_matrix, kernel_map, linear_map, subsample_centers
-from .gains import GainSpec, catalog
+from .gains import catalog
 from .rng import derive_key, generator
 from .simulate import Dataset, NoiseSpec, gen_location, gen_toy, toy_references, truth_function
 from .solver import (
     FitReport,
-    SolverConfig,
     default_config,
     fit_egm,
     kfold_select,
@@ -53,30 +51,15 @@ def anneal_ladder(sigma: float) -> tuple[float, ...]:
     return tuple(stages)
 
 
-def toy_solver_config(sigma: float, seed: int, restarts: int = 1) -> SolverConfig:
-    return SolverConfig(
-        method="irls",
-        max_iters=60,
-        tol=1e-8,
-        ridge=None,
-        restarts=restarts,
-        seed=seed,
-        anneal=anneal_ladder(sigma),
-    )
-
-
-def _split_fits(
-    sub: Dataset,
-    bw: float,
-    *,
-    spec: GainSpec,
-    seed: int,
-    sigmas: Sequence[float],
-) -> list[FitReport]:
-    """One training split's kernel fit at every scale."""
-    fmap = kernel_map(subsample_centers(sub.inputs, DEFAULT_CENTER_CAP, seed), bw)
-    # The scales are fitted back to back on one design matrix, so the solver factors it once.
-    return [fit_egm(sub, spec, s, fmap, toy_solver_config(s, seed)) for s in sigmas]
+def _toy_fit(
+    data: Dataset, sigma: float, bandwidth: float, seed: int, restarts: int
+) -> FitReport:
+    """The toy's fit: the gaussian gain on a kernel dictionary, annealed down to ``sigma``."""
+    spec = catalog()["gaussian"]
+    fmap = kernel_map(subsample_centers(data.inputs, DEFAULT_CENTER_CAP, seed), bandwidth)
+    cfg = default_config(spec, max_iters=60, tol=1e-8, restarts=restarts, seed=seed,
+                         anneal=anneal_ladder(sigma))
+    return fit_egm(data, spec, sigma, fmap, cfg)
 
 
 @dataclass(frozen=True)
@@ -99,10 +82,7 @@ def toy_fit_at_scale(
     restarts: int = 3,
 ) -> ToyFitResult:
     """The final fit at one scale and its cross-validated bandwidth, scored on the test set."""
-    fmap = kernel_map(subsample_centers(train.inputs, DEFAULT_CENTER_CAP, seed), bandwidth)
-    report = fit_egm(
-        train, catalog()["gaussian"], sigma, fmap, toy_solver_config(sigma, seed, restarts)
-    )
+    report = _toy_fit(train, sigma, bandwidth, seed, restarts)
     predictions = predict_batch(report.model, test.inputs)
     mean_ref, mode_ref = toy_references(test.inputs[:, 0])
     curve_x = np.linspace(0.0, 1.0, 101)
@@ -139,7 +119,10 @@ def bench_toy(
     scales = sorted({float(s) for s in sigmas})
     if not scales:
         raise InvalidParameterError("the toy benchmark needs at least one scale")
-    split = partial(_split_fits, spec=spec, seed=seed, sigmas=scales)
+
+    def split(sub: Dataset, bw: float) -> list[FitReport]:
+        # The scales are fitted back to back on one design matrix, so the solver factors it once.
+        return [_toy_fit(sub, s, bw, seed, 1) for s in scales]
 
     def final(task: tuple[float, float]) -> ToyFitResult:
         return toy_fit_at_scale(train, test, *task, seed, restarts)

@@ -46,6 +46,7 @@ from .gains import GainSpec, catalog, eval_gain, eval_gain_derivative, loss_from
 from .quadrature import QuadratureConfig
 from .simulate import Dataset, NoiseSpec, gen_location, gen_toy, toy_noise_spec
 from .solver import (
+    METHODS,
     SolverConfig,
     cross_validate_sigma,
     default_config,
@@ -322,7 +323,8 @@ def cmd_fit(args) -> int:
             raise UsageError("kernel features need --bandwidth")
         centers = subsample_centers(data.inputs, args.centers_cap, args.seed)
         fmap = kernel_map(centers, args.bandwidth)
-    cfg_kwargs = dict(
+    cfg = SolverConfig(
+        method=args.method or default_config(spec).method,
         max_iters=args.max_iters,
         tol=args.tol,
         ridge=args.ridge,
@@ -330,10 +332,6 @@ def cmd_fit(args) -> int:
         seed=args.seed,
         anneal=tuple(_numbers(args.anneal, "--anneal")) if args.anneal else (),
     )
-    if args.method:
-        cfg = SolverConfig(method=args.method, **cfg_kwargs)
-    else:
-        cfg = default_config(spec, **cfg_kwargs)
     sigma, cv_table = _resolve_sigma(args, data, spec, fmap, cfg)
     report = fit_egm(
         data, spec, sigma, fmap, cfg, M=args.M, clip=args.clip, init_coefficients=warm
@@ -469,7 +467,7 @@ def build_parser() -> _Parser:
     p.add_argument("--q", type=float, default=None)
     p.add_argument("--cv-sigma", default=None, help="comma list of scales to cross-validate")
     p.add_argument("--folds", type=int, default=5)
-    p.add_argument("--method", choices=["irls", "gradient", "grid_consensus"], default=None)
+    p.add_argument("--method", choices=METHODS, default=None)
     p.add_argument("--max-iters", type=int, default=200)
     p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--ridge", type=float, default=None)

@@ -50,6 +50,8 @@ class FeatureMap:
                 raise InvalidParameterError(
                     f"centers have dimension {centers.shape[1]}, expected {self.input_dim}"
                 )
+            if not np.isfinite(centers).all():  # a saved model can carry any value
+                raise InvalidInputError("kernel map centers must be finite")
             object.__setattr__(self, "centers", centers)
 
     @property
@@ -72,6 +74,8 @@ class HypothesisModel:
             raise InvalidParameterError(
                 f"{coeffs.shape[0]} coefficients for {self.feature_map.feature_count} features"
             )
+        if not np.isfinite(coeffs).all():
+            raise InvalidInputError("model coefficients must be finite")
         if not (self.M > 0):
             raise InvalidParameterError(f"M must be positive, got {self.M}")
         object.__setattr__(self, "coefficients", coeffs)

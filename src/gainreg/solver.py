@@ -47,6 +47,7 @@ from .simulate import Dataset
 IRLS = "irls"
 GRADIENT = "gradient"
 GRID_CONSENSUS = "grid_consensus"
+METHODS = (IRLS, GRADIENT, GRID_CONSENSUS)
 
 # Backtracking line search of the gradient method: first step, shrink factor, halvings.
 _STEP_INIT = 1.0
@@ -72,7 +73,7 @@ class SolverConfig:
     anneal: tuple[float, ...] = ()  # descending sigma stages before the target
 
     def __post_init__(self) -> None:
-        if self.method not in (IRLS, GRADIENT, GRID_CONSENSUS):
+        if self.method not in METHODS:
             raise InvalidParameterError(f"unknown method {self.method!r}")
         if self.max_iters < 1:
             raise InvalidParameterError("max_iters must be positive")
@@ -402,8 +403,6 @@ def fit_egm(
         raise InvalidInputError("inputs and outputs must be finite")
 
     X = design_matrix(fmap, data.inputs)
-    if not np.all(np.isfinite(X)):
-        raise InvalidInputError("the feature map gives non-finite features")
     y = data.outputs
     p = X.shape[1]
     ridge_off = cfg.ridge == 0.0

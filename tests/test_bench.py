@@ -5,7 +5,6 @@ import os
 import subprocess
 import sys
 import threading
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -84,7 +83,10 @@ def test_toy_needs_a_scale():
 def test_bandwidth_cv_prefers_sensible_scale():
     train = gr.gen_toy(150, seed=5)
     spec = gr.catalog()["gaussian"]
-    fit = partial(bench._split_fits, spec=spec, seed=5, sigmas=[10.0])
+
+    def fit(sub, bw):
+        return [bench._toy_fit(sub, 10.0, bw, 5, 1)]
+
     best, table = solver.kfold_select(train, spec, [0.05, 0.2, 1.0], fit, 3, 5, "bw-shuffle")[0]
     assert best in (0.05, 0.2, 1.0)
     assert len(table) == 3

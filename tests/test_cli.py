@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 import multiprocessing
 import os
 import subprocess
@@ -13,7 +14,7 @@ import pytest
 
 import gainreg as gr
 from gainreg import bench
-from gainreg.cli import main
+from gainreg.cli import dataset_from_csv, main
 
 
 def run(*argv) -> int:
@@ -78,7 +79,7 @@ def test_simulate_deterministic_bytes(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_fit_save_load_round_trip(tmp_path):
+def test_fit_save_load_round_trip(tmp_path, capsys):
     data = tmp_path / "d.csv"
     model_path = tmp_path / "m.json"
     res_path = tmp_path / "r.csv"
@@ -95,6 +96,13 @@ def test_fit_save_load_round_trip(tmp_path):
     # Round trip through the file is bit-exact.
     assert gr.model_to_json(gr.model_from_json(model_path.read_text())) == \
         model_path.read_text().rstrip("\n")
+    # A --method the gain can use runs the fit the library runs under it.
+    capsys.readouterr()
+    assert run("fit", "--data", str(data), "--gain", "triweight", "--sigma", "2",
+               "--restarts", "2", "--method", "gradient") == 0
+    report = gr.fit_egm(dataset_from_csv(str(data)), gr.catalog()["triweight"], 2.0,
+                        gr.linear_map(1), gr.SolverConfig(method="gradient", restarts=2))
+    assert f"empirical_gain {report.empirical_gain!r}\n" in capsys.readouterr().out
 
 
 def test_gradient_fit_save_is_byte_identical_across_runs(tmp_path):
@@ -363,6 +371,12 @@ BAD_INPUTS = {
                              "--cv-sigma", "1,abc"],
     "anneal-non-numeric": ["fit", "--data", "d.csv", "--gain", "gaussian", "--sigma", "1",
                            "--anneal", "4,abc"],
+    "method-unknown": ["fit", "--data", "d.csv", "--gain", "gaussian", "--sigma", "1",
+                       "--method", "bogus"],
+    "method-cannot-fit-gaussian": ["fit", "--data", "d.csv", "--gain", "gaussian",
+                                   "--sigma", "1", "--method", "grid_consensus"],
+    "method-cannot-fit-laplace": ["fit", "--data", "d.csv", "--gain", "laplace", "--sigma", "1",
+                                  "--method", "irls"],
     "sigmas-non-numeric": ["bench", "toy", "--sigmas", "0.5,abc", *OUT],
     "n-list-non-numeric": ["bench", "rates", "--n-list", "50,abc", *OUT],
 }
@@ -378,8 +392,15 @@ def test_malformed_flag_values_exit_one_without_traceback(tmp_path, argv):
     assert "Traceback" not in proc.stderr
 
 
-UNKNOWN_KIND = {"kind": "kernel", "input_dim": 1, "centers": [[0.0], [1.0]], "bandwidth": 0.5,
-                "coefficients": [1.0, 2.0], "M": 10.0, "clip": False}
+KERNEL_MODEL = {"kind": "kernel_dictionary", "input_dim": 1, "centers": [[0.0], [1.0]],
+                "bandwidth": 0.5, "coefficients": [1.0, 2.0], "M": 10.0, "clip": False}
+# Saved models the CLI must refuse, each with the message that names its fault.
+BAD_SAVED_MODELS = [
+    (dict(KERNEL_MODEL, kind="kernel"), "unknown feature map kind 'kernel'"),
+    (dict(KERNEL_MODEL, centers=[[0.0], [math.nan]]), "centers must be finite"),
+    (dict(KERNEL_MODEL, coefficients=[1.0, math.nan]), "coefficients must be finite"),
+    (dict(KERNEL_MODEL, coefficients=[math.inf, 2.0]), "coefficients must be finite"),
+]
 
 
 @pytest.mark.parametrize("argv", [
@@ -388,14 +409,17 @@ UNKNOWN_KIND = {"kind": "kernel", "input_dim": 1, "centers": [[0.0], [1.0]], "ba
      "--save", "out.json"],
 ], ids=["predict", "fit-load"])
 def test_a_saved_model_of_unknown_kind_is_invalid_input(tmp_path, argv):
-    # Such a file used to load as a linear map, whatever its centers and bandwidth.
+    # An unknown kind used to load as a linear map, whatever its centers and bandwidth,
+    # and a non-finite center or coefficient gave non-finite predictions with exit code 0.
     (tmp_path / "d.csv").write_text("x_0,y\n0,1\n1,2\n2,3\n")
-    (tmp_path / "m.json").write_text(json.dumps(UNKNOWN_KIND))
-    proc = run_process(*argv, cwd=tmp_path)
-    assert proc.returncode == 1, proc.stderr
-    assert "unknown feature map kind 'kernel'" in proc.stderr, proc.stderr
-    assert "Traceback" not in proc.stderr
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["d.csv", "m.json"]
+    for model, message in BAD_SAVED_MODELS:
+        (tmp_path / "m.json").write_text(json.dumps(model))
+        proc = run_process(*argv, cwd=tmp_path)
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stderr.startswith("invalid request"), proc.stderr
+        assert message in proc.stderr, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["d.csv", "m.json"]
 
 
 @pytest.mark.parametrize("argv, message", [
