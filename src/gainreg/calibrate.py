@@ -23,10 +23,12 @@ from .errors import (
     CertificationFailureError,
     InvalidInputError,
     InvalidParameterError,
+    PrecisionFailureError,
     UnsupportedOperationError,
 )
 from .gains import DECLARED_HEADROOM, GainSpec, eval_gain
 from .quadrature import (
+    CONVERGENCE_TOL,
     QuadratureConfig,
     gauss_legendre_rule,
     integrate,
@@ -39,9 +41,11 @@ from .simulate import LocationProblem
 _LIPSCHITZ_GRID = 200_001
 # Cosine quadrature of an unbounded gain without a closed form runs over this many sigmas.
 _FOURIER_HALF_WIDTH = 20.0
-# Rows of cosines per block of a quadrature transform: 2 MiB at 2^14 nodes, to stay
-# in a core's L2 cache.  Under OpenBLAS, blocks of 4 to 128 rows give each row the
-# bits of one whole-grid product; blocks of 2 rows do not.
+# First and last node counts of the doubling cosine quadrature of a transform.
+_FOURIER_NODES = (256, 2**14)
+# Rows of cosines per block of a quadrature transform: at most 2 MiB, at the 2^14-node
+# ceiling, to stay in a core's L2 cache.  Under OpenBLAS, blocks of 4 to 128 rows give
+# each row the bits of one whole-grid product; blocks of 2 rows do not.
 _FOURIER_BLOCK = 16
 
 
@@ -308,9 +312,12 @@ def fourier_transform(spec: GainSpec, sigma: float, xi: np.ndarray) -> np.ndarra
     """Real Fourier transform ``int p_sigma(t) cos(xi t) dt`` of the even gain.
 
     The spec's closed form when it has one; otherwise direct cosine quadrature
-    over the exact support of a compact gain, or over ``20 * sigma`` with 2^14
-    nodes for an unbounded one.  The transform is even, so the quadrature runs
-    once per distinct ``|xi|``, block by block through one reused buffer.
+    over the exact support of a compact gain, or over ``20 * sigma`` for an
+    unbounded one.  The quadrature starts from 256 nodes and doubles them until
+    two successive transforms agree within ``CONVERGENCE_TOL`` of the largest
+    ``|value|``, and returns the finer one; a transform that has not settled by
+    2^14 nodes raises ``PrecisionFailureError``.  The transform is even, so each
+    pass runs once per distinct ``|xi|``, block by block through one buffer.
     """
     xi = np.asarray(xi, dtype=float)
     if not np.all(np.isfinite(xi)):
@@ -320,9 +327,26 @@ def fourier_transform(spec: GainSpec, sigma: float, xi: np.ndarray) -> np.ndarra
 
     radius = spec.support_radius
     t_max = radius * sigma if math.isfinite(radius) else _FOURIER_HALF_WIDTH * sigma
-    t, w = nodes_weights(-t_max, t_max, 2**14, [0.0])
-    pw = eval_gain(spec, sigma, t) * w
     mags, back = np.unique(np.abs(xi.ravel()), return_inverse=True)
+    nodes = _FOURIER_NODES[0]
+    coarse = _cosine_quadrature(spec, sigma, t_max, mags, nodes)
+    while nodes < _FOURIER_NODES[1]:
+        nodes *= 2
+        fine = _cosine_quadrature(spec, sigma, t_max, mags, nodes)
+        drift = np.max(np.abs(fine - coarse), initial=0.0)
+        if drift <= CONVERGENCE_TOL * np.max(np.abs(fine), initial=0.0):
+            return fine[back].reshape(xi.shape)
+        coarse = fine
+    raise PrecisionFailureError(
+        f"Fourier transform of {spec.name} did not converge: {drift:.3g} apart at {nodes} nodes"
+    )
+
+
+def _cosine_quadrature(
+    spec: GainSpec, sigma: float, t_max: float, mags: np.ndarray, nodes: int
+) -> np.ndarray:
+    t, w = nodes_weights(-t_max, t_max, nodes, [0.0])
+    pw = eval_gain(spec, sigma, t) * w
     res = np.empty(mags.shape, dtype=float)
     buf = np.empty((min(_FOURIER_BLOCK, mags.size), t.size))
     for i in range(0, mags.size, _FOURIER_BLOCK):
@@ -330,7 +354,7 @@ def fourier_transform(spec: GainSpec, sigma: float, xi: np.ndarray) -> np.ndarra
         np.multiply.outer(mags[i : i + _FOURIER_BLOCK], t, out=block)
         np.cos(block, out=block)
         res[i : i + _FOURIER_BLOCK] = block @ pw
-    return res[back].reshape(xi.shape)
+    return res
 
 
 @dataclass(frozen=True)

@@ -176,17 +176,22 @@ def model_from_json(text: str) -> HypothesisModel:
     """Parse a saved model; a malformed or incomplete file is invalid input."""
     try:
         payload = json.loads(text)
-        centers = payload["centers"]
+        centers, input_dim, clip = payload["centers"], payload["input_dim"], payload["clip"]
+        # JSON true is a Python int and 1.5 a number, so the types are checked, not the values.
+        if isinstance(input_dim, bool) or not isinstance(input_dim, int):
+            raise InvalidInputError(f"saved model input_dim must be an integer, got {input_dim!r}")
+        if not isinstance(clip, bool):
+            raise InvalidInputError(f"saved model clip must be true or false, got {clip!r}")
         return HypothesisModel(
             feature_map=FeatureMap(
                 kind=payload["kind"],
-                input_dim=payload["input_dim"],
+                input_dim=input_dim,
                 centers=None if centers is None else np.asarray(centers, dtype=float),
                 bandwidth=payload["bandwidth"],
             ),
             coefficients=np.asarray(payload["coefficients"], dtype=float),
             M=payload["M"],
-            clip=payload["clip"],
+            clip=clip,
         )
     except KeyError as exc:
         raise InvalidInputError(f"saved model has no {exc} field") from None

@@ -62,16 +62,16 @@ def nodes_weights(
     """Composite Gauss-Legendre nodes and weights on [a, b], panels split at breakpoints."""
     segs = _segments(a, b, breakpoints)
     per_seg = max(nodes // max(len(segs), 1), _GL_ORDER)
+    panels = max(per_seg // _GL_ORDER, 1)
     xr, wr = gauss_legendre_rule(_GL_ORDER)
-    xs, ws = [], []
-    for lo, hi in segs:
-        panels = max(per_seg // _GL_ORDER, 1)
-        edges = np.linspace(lo, hi, panels + 1)
-        half = 0.5 * (edges[1:] - edges[:-1])
-        mid = 0.5 * (edges[1:] + edges[:-1])
-        xs.append((mid[:, None] + half[:, None] * xr[None, :]).ravel())
-        ws.append((half[:, None] * wr[None, :]).ravel())
-    return np.concatenate(xs), np.concatenate(ws)
+    # Every segment has the same panel count, so one linspace over the segment ends
+    # builds all their panel edges with the bits of one linspace per segment, unless
+    # some segment's panel width underflows to zero.
+    lo, hi = np.array(segs).T
+    edges = np.linspace(lo, hi, panels + 1, axis=1)
+    half = 0.5 * (edges[:, 1:] - edges[:, :-1])
+    mid = 0.5 * (edges[:, 1:] + edges[:, :-1])
+    return (mid[..., None] + half[..., None] * xr).ravel(), (half[..., None] * wr).ravel()
 
 
 def integrate(

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import gainreg as gr
+from gainreg import calibrate
 from gainreg.calibrate import DECLARED_HEADROOM, gain_mass
 from gainreg.errors import (
     InvalidInputError,
@@ -335,11 +336,16 @@ def test_fourier_transform_analytic_families(cat):
     )
 
 
-def _one_block_transform(spec, sigma, xi):
-    # The cosine quadrature as one matrix over the whole xi grid and one product.
-    t_max = spec.support_radius * sigma
+def _one_matrix_transform(spec, sigma, xi):
+    # The 2^14-node cosine quadrature as one matrix over the whole xi grid and one product.
+    radius = spec.support_radius
+    t_max = (radius if math.isfinite(radius) else 20.0) * sigma
     t, w = nodes_weights(-t_max, t_max, 2**14, [0.0])
     return np.cos(np.outer(xi, t)) @ (gr.eval_gain(spec, sigma, t) * w)
+
+
+# The sandwich's grid at M = 1: each |xi| twice, once with each sign.
+SANDWICH_XI = gauss_legendre_rule(256)[0] * (math.pi / 2.0)
 
 
 @pytest.mark.parametrize(
@@ -347,13 +353,46 @@ def _one_block_transform(spec, sigma, xi):
     ["triweight", "cosine", gr.generalized_tukey(3, 2)],
     ids=["triweight", "cosine", "tukey_3_2"],
 )
-def test_fourier_transform_matches_one_cosine_matrix_bit_for_bit(cat, spec):
+def test_fourier_transform_matches_one_cosine_matrix_bit_for_bit(cat, spec, monkeypatch):
     spec = cat[spec] if isinstance(spec, str) else spec
     assert spec.fourier is None and math.isfinite(spec.support_radius)
-    # The sandwich's grid at M = 1: each |xi| twice, once with each sign.
-    xi = gauss_legendre_rule(256)[0] * (math.pi / 2.0)
-    want = _one_block_transform(spec, 1.0, xi)
-    assert np.array_equal(gr.fourier_transform(spec, 1.0, xi), want)
+    got = gr.fourier_transform(spec, 1.0, SANDWICH_XI)
+    # One block as large as the grid: each pass is one cosine matrix and one product.
+    monkeypatch.setattr(calibrate, "_FOURIER_BLOCK", SANDWICH_XI.size)
+    assert np.array_equal(got, gr.fourier_transform(spec, 1.0, SANDWICH_XI))
+
+
+QUADRATURE_PATH_GAINS = [
+    *(name for name, spec in gr.catalog().items() if spec.fourier is None),
+    gr.generalized_tukey(3, 2),
+    gr.generalized_tukey(1, 5),
+    gr.generalized_tukey(4, 3),
+    replace(gr.catalog()["gaussian"], name="gaussian_quadrature", fourier=None),
+]
+
+
+@pytest.mark.parametrize("sigma", [1.0, 2.5])
+@pytest.mark.parametrize(
+    "spec", QUADRATURE_PATH_GAINS,
+    ids=[s if isinstance(s, str) else s.name for s in QUADRATURE_PATH_GAINS],
+)
+def test_fourier_transform_agrees_with_the_full_2_14_node_rule(cat, spec, sigma):
+    # The doubling stops long before 2^14 nodes and must still agree with that rule.
+    spec = cat[spec] if isinstance(spec, str) else spec
+    want = _one_matrix_transform(spec, sigma, SANDWICH_XI)
+    got = gr.fourier_transform(spec, sigma, SANDWICH_XI)
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def test_fourier_transform_that_does_not_settle_by_2_14_nodes_raises(cat):
+    # A jump at 0.3 sigma falls inside a panel of every rule, so no doubling converges.
+    def step(s):
+        a = np.abs(s)
+        return np.where(a <= 0.3, 1.0, np.where(a <= 1.0, 0.5, 0.0))
+
+    spec = replace(cat["uniform"], name="step", generating_fn=step)
+    with pytest.raises(PrecisionFailureError, match="did not converge.*16384 nodes"):
+        gr.fourier_transform(spec, 1.0, SANDWICH_XI)
 
 
 def test_fourier_transform_is_even_and_keeps_the_shape(cat):
@@ -373,6 +412,45 @@ def test_fourier_transform_is_even_and_keeps_the_shape(cat):
 def test_fourier_transform_rejects_non_finite_xi(cat, name, bad):
     with pytest.raises(InvalidInputError, match="xi must be finite"):
         gr.fourier_transform(cat[name], 1.0, np.array([0.5, bad]))
+
+
+def _nodes_weights_per_segment(a, b, nodes, breakpoints):
+    # The former construction, one linspace per segment, as the bit-for-bit reference.
+    cuts = sorted({float(p) for p in breakpoints if a < p < b})
+    edges = [a, *cuts, b]
+    segs = [(lo, hi) for lo, hi in zip(edges[:-1], edges[1:]) if hi > lo]
+    per_seg = max(nodes // max(len(segs), 1), 16)
+    xr, wr = gauss_legendre_rule(16)
+    xs, ws = [], []
+    for lo, hi in segs:
+        edges = np.linspace(lo, hi, max(per_seg // 16, 1) + 1)
+        half = 0.5 * (edges[1:] - edges[:-1])
+        mid = 0.5 * (edges[1:] + edges[:-1])
+        xs.append((mid[:, None] + half[:, None] * xr[None, :]).ravel())
+        ws.append((half[:, None] * wr[None, :]).ravel())
+    return np.concatenate(xs), np.concatenate(ws)
+
+
+def test_nodes_weights_match_one_linspace_per_segment_bit_for_bit():
+    cases = [
+        (-1.0, 1.0, 64, []),
+        (0.0, 3.0, 2**15, []),
+        (-2.0, 5.0, 1000, [-7.0, 9.0]),  # outside
+        (-2.0, 5.0, 4096, [-2.0, 5.0, 0.0]),  # on the ends
+        (-2.0, 5.0, 4096, [1.5, 1.5, 0.25, 1.5, 0.25]),  # duplicates
+        (10.0, 10.5, 64, [10.1, 10.2, 10.3, 10.4, 10.45]),  # more segments than panels
+    ]
+    rng = np.random.default_rng(7)
+    for _ in range(1000):
+        a = float(rng.uniform(-100.0, 100.0))
+        b = a + float(rng.uniform(1e-6, 200.0))
+        bps = rng.uniform(a - 10.0, b + 10.0, rng.integers(0, 8)).tolist()
+        bps += [a, b] * int(rng.integers(0, 2)) + bps[: rng.integers(0, 3)]
+        cases.append((a, b, int(2 ** rng.uniform(6.0, 15.0)), bps))
+    for a, b, nodes, bps in cases:
+        want = _nodes_weights_per_segment(a, b, nodes, bps)
+        got = nodes_weights(a, b, nodes, bps)
+        assert all(map(np.array_equal, got, want)), (a, b, nodes, bps)
 
 
 def test_cached_gauss_legendre_rule_is_read_only():

@@ -422,6 +422,28 @@ def test_a_saved_model_of_unknown_kind_is_invalid_input(tmp_path, argv):
         assert sorted(p.name for p in tmp_path.iterdir()) == ["d.csv", "m.json"]
 
 
+LINEAR_MODEL = {"kind": "linear_with_intercept", "input_dim": 1, "centers": None,
+                "bandwidth": None, "coefficients": [1.0, 2.0], "M": 10.0, "clip": False}
+
+
+@pytest.mark.parametrize("field, value", [("clip", "no"), ("input_dim", True), ("input_dim", 1.5)],
+                         ids=["clip-no", "dim-true", "dim-1.5"])
+@pytest.mark.parametrize("argv", [
+    ["predict", "--model", "m.json", "--data", "d.csv", *OUT],
+    ["fit", "--data", "d.csv", "--gain", "gaussian", "--sigma", "1", "--load", "m.json",
+     "--save", "out.json"],
+], ids=["predict", "fit-load"])
+def test_a_saved_model_field_of_the_wrong_type_is_invalid_input(tmp_path, argv, field, value):
+    # "clip": "no" used to load and clip, "input_dim": true to load as 1, and
+    # "input_dim": 1.5 to fail on "2 coefficients for 2.5 features".
+    (tmp_path / "d.csv").write_text("x_0,y\n0,1\n1,2\n2,3\n")
+    (tmp_path / "m.json").write_text(json.dumps(dict(LINEAR_MODEL, **{field: value})))
+    proc = run_process(*argv, cwd=tmp_path)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.startswith(f"invalid request: saved model {field} must be"), proc.stderr
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["d.csv", "m.json"]
+
+
 @pytest.mark.parametrize("argv, message", [
     (["bench", "rates", "--n-list", "50"], "at least two sample sizes"),
     (["bench", "rates", "--n-list", ","], "at least two sample sizes"),
