@@ -31,6 +31,7 @@ from .errors import (
     GainRegError,
     InvalidInputError,
     InvalidParameterError,
+    NonFiniteResultError,
     PrecisionFailureError,
     SingularSystemError,
     UnsupportedOperationError,

@@ -295,7 +295,8 @@ def gain_mass(spec: GainSpec, sigma: float, quad: QuadratureConfig) -> float:
 
     Otherwise quadrature, exact over a compact support; a slowly decaying
     tail such as Cauchy's would leave a percent-level truncation bias in the
-    norming constant, which is why the heavy-tailed entries carry closed forms.
+    norming constant, so it raises instead (see ``_window``), and the heavy-tailed
+    entries carry closed forms.
     """
     if spec.fourier is not None:
         return float(spec.fourier(sigma, np.zeros(())))
@@ -303,9 +304,27 @@ def gain_mass(spec: GainSpec, sigma: float, quad: QuadratureConfig) -> float:
     def p(t: np.ndarray) -> np.ndarray:
         return eval_gain(spec, sigma, t)
 
-    radius = spec.support_radius
-    t_max = radius * sigma if math.isfinite(radius) else quad.half_width * sigma
+    t_max = _window(spec, sigma, quad.half_width)
     return integrate_checked(p, -t_max, t_max, quad, breakpoints=[0.0])
+
+
+def _window(spec: GainSpec, sigma: float, half_width: float) -> float:
+    """Half-width of a quadrature over the gain: its support, or ``half_width`` sigmas.
+
+    Node doubling cannot see what lies beyond the window, so a gain that is still
+    above ``CONVERGENCE_TOL`` of its peak at the window's edge raises
+    ``PrecisionFailureError`` rather than return a truncated integral.
+    """
+    if math.isfinite(spec.support_radius):
+        return spec.support_radius * sigma
+    t_max = half_width * sigma
+    edge, peak = eval_gain(spec, sigma, t_max), eval_gain(spec, sigma, 0.0)
+    if edge > CONVERGENCE_TOL * peak:
+        raise PrecisionFailureError(
+            f"{spec.name} is still {edge:.3g} against a peak of {peak:.3g} at {half_width:g} "
+            "sigma, where its integral is cut off; give the spec its closed-form transform"
+        )
+    return t_max
 
 
 def fourier_transform(spec: GainSpec, sigma: float, xi: np.ndarray) -> np.ndarray:
@@ -313,11 +332,12 @@ def fourier_transform(spec: GainSpec, sigma: float, xi: np.ndarray) -> np.ndarra
 
     The spec's closed form when it has one; otherwise direct cosine quadrature
     over the exact support of a compact gain, or over ``20 * sigma`` for an
-    unbounded one.  The quadrature starts from 256 nodes and doubles them until
-    two successive transforms agree within ``CONVERGENCE_TOL`` of the largest
-    ``|value|``, and returns the finer one; a transform that has not settled by
-    2^14 nodes raises ``PrecisionFailureError``.  The transform is even, so each
-    pass runs once per distinct ``|xi|``, block by block through one buffer.
+    unbounded one whose tail is negligible there (see ``_window``).  The
+    quadrature starts from 256 nodes and doubles them until two successive
+    transforms agree within ``CONVERGENCE_TOL`` of the largest ``|value|``, and
+    returns the finer one; a transform that has not settled by 2^14 nodes raises
+    ``PrecisionFailureError``.  The transform is even, so each pass runs once per
+    distinct ``|xi|``, block by block through one buffer.
     """
     xi = np.asarray(xi, dtype=float)
     if not np.all(np.isfinite(xi)):
@@ -325,8 +345,7 @@ def fourier_transform(spec: GainSpec, sigma: float, xi: np.ndarray) -> np.ndarra
     if spec.fourier is not None:
         return spec.fourier(sigma, xi)
 
-    radius = spec.support_radius
-    t_max = radius * sigma if math.isfinite(radius) else _FOURIER_HALF_WIDTH * sigma
+    t_max = _window(spec, sigma, _FOURIER_HALF_WIDTH)
     mags, back = np.unique(np.abs(xi.ravel()), return_inverse=True)
     nodes = _FOURIER_NODES[0]
     coarse = _cosine_quadrature(spec, sigma, t_max, mags, nodes)
@@ -429,7 +448,8 @@ def sandwich_check(
         hi_w = max(t_max, delta + t_max)
 
         def integrand(e: np.ndarray, d: float = delta) -> np.ndarray:
-            return (p(e) - p(e - d)) * p(e)
+            pe = p(e)
+            return (pe - p(e - d)) * pe
 
         gap = c_norm * integrate_checked(
             integrand,

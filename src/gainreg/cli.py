@@ -30,12 +30,14 @@ from .errors import (
     GainRegError,
     InvalidInputError,
     InvalidParameterError,
+    NonFiniteResultError,
     PrecisionFailureError,
     SingularSystemError,
     UnsupportedOperationError,
 )
 from .features import (
     DEFAULT_CENTER_CAP,
+    HypothesisModel,
     kernel_map,
     linear_map,
     model_from_json,
@@ -347,7 +349,7 @@ def cmd_fit(args) -> int:
     if args.save:
         Path(args.save).write_text(model_to_json(report.model) + "\n", encoding="utf-8")
     if args.residuals:
-        predictions = predict_batch(report.model, data.inputs)
+        predictions = _finite_predictions(report.model, data.inputs)
         residuals = data.outputs - predictions
         _write_rows(
             args.residuals,
@@ -357,10 +359,24 @@ def cmd_fit(args) -> int:
     return EXIT_OK
 
 
+def _finite_predictions(model: HypothesisModel, inputs: np.ndarray) -> np.ndarray:
+    """The model's predictions; one that overflows to inf or nan is a runtime failure."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        predictions = predict_batch(model, inputs)
+    bad = np.flatnonzero(~np.isfinite(predictions))
+    if bad.size:
+        row = int(bad[0])
+        raise NonFiniteResultError(
+            f"the prediction for row {row} is {predictions[row]}: the model overflows a "
+            "double there"
+        )
+    return predictions
+
+
 def cmd_predict(args) -> int:
     model = model_from_json(Path(args.model).read_text(encoding="utf-8"))
     data = dataset_from_csv(args.data)
-    predictions = predict_batch(model, data.inputs)
+    predictions = _finite_predictions(model, data.inputs)
     _write_rows(args.out, ["index", "prediction"], list(enumerate(predictions)))
     return EXIT_OK
 
@@ -572,7 +588,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (InvalidParameterError, InvalidInputError, UnsupportedOperationError) as exc:
         print(f"invalid request: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (PrecisionFailureError, DegenerateIterateError, SingularSystemError) as exc:
+    except (
+        PrecisionFailureError, DegenerateIterateError, SingularSystemError, NonFiniteResultError
+    ) as exc:
         print(f"runtime failure: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
     except CertificationFailureError as exc:

@@ -34,5 +34,9 @@ class SingularSystemError(GainRegError):
     """A weighted least-squares system is singular and no ridge was allowed."""
 
 
+class NonFiniteResultError(GainRegError):
+    """Finite inputs gave a non-finite result: the arithmetic overflowed a double."""
+
+
 class CertificationFailureError(GainRegError):
     """A certification run could not be completed (e.g. non-finite integrand)."""

@@ -63,7 +63,9 @@ class GainSpec:
 
     ``fourier(sigma, xi)`` is the closed-form transform int p_sigma(t) cos(xi t) dt
     where one is known.  A gain without ``generating_deriv`` is a piecewise-constant box.
-    Its peak is ``eval_gain(spec, sigma, 0.0)``.
+    Its peak is ``eval_gain(spec, sigma, 0.0)``.  ``weight_per_gain`` is set when the
+    half-quadratic weight is that fixed multiple of the gain, -psi'(u) = c psi(u), so
+    the reweighting loop scales the gain values instead of evaluating psi'.
     """
 
     name: str
@@ -82,6 +84,7 @@ class GainSpec:
     loss_formula: str
     sigma_normalized: bool = False
     fourier: Optional[Callable[[float, np.ndarray], np.ndarray]] = None
+    weight_per_gain: Optional[float] = None
 
     def __post_init__(self) -> None:
         if self.representing_fn is not None and (
@@ -89,6 +92,13 @@ class GainSpec:
         ):
             raise InvalidParameterError(
                 f"{self.name}: a representing function needs its derivative and constants"
+            )
+        if self.weight_per_gain is not None and not (
+            self.representing_deriv is not None and 0.0 < self.weight_per_gain < math.inf
+        ):
+            raise InvalidParameterError(
+                f"{self.name}: weight_per_gain needs a representing function and a finite "
+                f"positive value, got {self.weight_per_gain}"
             )
 
     @property
@@ -179,14 +189,33 @@ def gain_and_weights(spec: GainSpec, sigma: float, r) -> tuple[float, np.ndarray
     ``irls_weight(spec, sigma, r)``, with their errors; an out-of-range residual
     is named as ``eval_gain`` names it.
     """
+    return gain_weigher(spec, sigma)(r)
+
+
+def gain_weigher(
+    spec: GainSpec, sigma: float
+) -> Callable[[np.ndarray], tuple[float, np.ndarray]]:
+    """``gain_and_weights`` at one scale: the spec and sigma are checked here, once,
+    and each call of the returned function checks only its residual range.
+
+    A spec with ``weight_per_gain`` gets its weights by scaling the gain values, one
+    ``exp`` where psi' would take a second.  For the gaussian that is bit-equal:
+    ``-0.5*s*s`` and ``-0.5*(s**2)`` round alike because halving is exact, and
+    ``exp / 2`` is never negative, so the clamp in ``_weights`` changes nothing.
+    """
     _check_weighted(spec)
     sigma = _check_sigma(sigma)
-    arr, _ = _as_points(r, sigma)
-    s = arr / sigma
-    vals = spec.generating_fn(s)
-    if spec.sigma_normalized:
-        vals = vals / sigma
-    return float(vals.sum() / vals.size), _weights(spec, s**2)
+    ratio = spec.weight_per_gain
+
+    def weigh(r) -> tuple[float, np.ndarray]:
+        arr, _ = _as_points(r, sigma)
+        s = arr / sigma
+        raw = spec.generating_fn(s)
+        vals = raw / sigma if spec.sigma_normalized else raw
+        weights = _weights(spec, s**2) if ratio is None else ratio * raw
+        return float(vals.sum() / vals.size), weights
+
+    return weigh
 
 
 def _check_weighted(spec: GainSpec) -> None:
@@ -359,6 +388,7 @@ def _gaussian() -> GainSpec:
         fourier=lambda sigma, xi: (
             sigma * math.sqrt(2.0 * math.pi) * np.exp(-0.5 * (sigma * xi) ** 2)
         ),
+        weight_per_gain=0.5,  # -psi'(u) = exp(-u/2) / 2
     )
 
 

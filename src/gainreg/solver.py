@@ -40,7 +40,7 @@ from .features import (
     design_matrix,
     predict_batch,
 )
-from .gains import GainSpec, eval_gain, eval_gain_derivative, gain_and_weights
+from .gains import GainSpec, eval_gain, eval_gain_derivative, gain_weigher
 from .rng import generator
 from .simulate import Dataset
 
@@ -128,12 +128,18 @@ def _gradient(X: np.ndarray, residuals: np.ndarray, spec: GainSpec, sigma: float
 
 
 def _weighted_solve(
-    X: np.ndarray, y: np.ndarray, w: np.ndarray, ridge: Optional[float], features: int
+    X: np.ndarray,
+    y: np.ndarray,
+    w: np.ndarray,
+    ridge: Optional[float],
+    features: int,
+    out: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Weighted ridge normal equations; the auto ridge divides by ``features``, the
-    feature count of the original map, so a fit in a reduced basis keeps its ridge."""
+    feature count of the original map, so a fit in a reduced basis keeps its ridge.
+    ``out``, shaped and laid out as X, takes the product X w."""
     p = X.shape[1]
-    Xw = X * w[:, None]
+    Xw = np.multiply(X, w[:, None], out=out)
     A = X.T @ Xw
     lam = 1e-8 * A.trace() / features if ridge is None else float(ridge)
     A.ravel()[:: p + 1] += lam  # A is a fresh C-contiguous product, so ravel() is a view
@@ -161,19 +167,32 @@ def _rank_basis(X: np.ndarray) -> Optional[np.ndarray]:
     Singular values at or below s_max * max(n, p) * eps (``np.linalg.matrix_rank``'s
     default) are rounding noise: on kernel dictionaries their directions carry
     eigenvalues of X'X some 13 orders of magnitude below the auto ridge, so
-    dropping them moves no fit.  None when nothing is dropped.  The last matrix's
-    basis is kept, read-only, so back-to-back fits of one matrix factor it once.
+    dropping them moves no fit.  None when nothing is dropped.  A bitwise symmetric
+    X, such as a kernel dictionary centred on its own inputs, is factored by
+    ``eigh`` at about half an SVD's cost: its singular values are its |eigenvalues|,
+    so the same cut keeps the same directions.  The last matrix's basis is kept,
+    read-only, so back-to-back fits of one matrix factor it once.
     """
     global _last_basis
     key = (X.shape, hashlib.blake2b(np.ascontiguousarray(X)).digest())
     last_key, basis = _last_basis  # read once: another thread may replace it
     if last_key == key:
         return basis
-    _, s, vt = np.linalg.svd(X, full_matrices=False)
-    r = int(np.sum(s > s[0] * max(X.shape) * np.finfo(float).eps))
-    # Copy the r rows before transposing: the basis keeps the view's Fortran layout
-    # (so products with it round as before) without holding all of vt.
-    basis = vt[:r].copy().T if 0 < r < X.shape[1] else None
+    p, eps = X.shape[1], np.finfo(float).eps
+    if X.shape[0] == p and np.array_equal(X, X.T):
+        lam, vecs = np.linalg.eigh(X)
+        mags = np.abs(lam)
+        keep = mags > mags.max() * p * eps
+        r = int(np.count_nonzero(keep))
+        # Largest first, as the SVD orders them; the column pick copies in Fortran
+        # layout, as the SVD branch does.
+        basis = vecs[:, np.flatnonzero(keep)[::-1]] if 0 < r < p else None
+    else:
+        _, s, vt = np.linalg.svd(X, full_matrices=False)
+        r = int(np.sum(s > s[0] * max(X.shape) * eps))
+        # Copy the r rows before transposing: the basis keeps the view's Fortran layout
+        # (so products with it round as before) without holding all of vt.
+        basis = vt[:r].copy().T if 0 < r < p else None
     if basis is not None:
         basis.flags.writeable = False
     _last_basis = (key, basis)
@@ -192,11 +211,14 @@ def _irls_stage(
 ) -> tuple[np.ndarray, int, bool]:
     """Reweighted least squares at a fixed scale; returns (coeffs, iters, converged).
 
-    Each residual vector gets one checked pass for its mean gain and the weights
-    of the next solve.  Every gain goes onto ``trace``, so its last entry is the
-    gain of the returned coefficients.
+    The spec and sigma are checked once; each residual vector gets one checked
+    pass for its mean gain and the weights of the next solve, and every solve
+    forms X w in one buffer.  Every gain goes onto ``trace``, so its last entry is
+    the gain of the returned coefficients.
     """
-    gain, w = gain_and_weights(spec, sigma, y - X @ coeffs)
+    weigh = gain_weigher(spec, sigma)
+    xw = np.empty_like(X)
+    gain, w = weigh(y - X @ coeffs)
     trace.append(gain)
     converged = False
     iters = 0
@@ -211,9 +233,9 @@ def _irls_stage(
         if cfg.ridge is None:
             # Auto ridge adapts to the normalized system, so rescaling the
             # weights guards against underflow without changing the problem.
-            w = w / top
-        coeffs = _weighted_solve(X, y, w, cfg.ridge, features)
-        new_gain, w = gain_and_weights(spec, sigma, y - X @ coeffs)
+            w /= top
+        coeffs = _weighted_solve(X, y, w, cfg.ridge, features, xw)
+        new_gain, w = weigh(y - X @ coeffs)
         trace.append(new_gain)
         if abs(new_gain - gain) <= cfg.tol * max(1.0, abs(gain)):
             gain = new_gain

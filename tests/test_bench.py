@@ -115,24 +115,24 @@ def test_bench_toy_runs_a_repeated_scale_once():
 
 
 def test_bench_toy_scales_share_rank_bases_without_moving_a_bit(monkeypatch):
-    # Process-shared, since the fits may run in forked workers.
-    svds = multiprocessing.Value("i", 0)
-    svd = np.linalg.svd
+    # Process-shared, since the fits may run in forked workers.  A rank basis comes
+    # from eigh for a symmetric dictionary and from an SVD otherwise; count both.
+    factored = multiprocessing.Value("i", 0)
+    for name in ("svd", "eigh"):
+        def counted(*a, _factor=getattr(np.linalg, name), **k):
+            with factored.get_lock():
+                factored.value += 1
+            return _factor(*a, **k)
 
-    def counted_svd(*a, **k):
-        with svds.get_lock():
-            svds.value += 1
-        return svd(*a, **k)
-
-    monkeypatch.setattr(np.linalg, "svd", counted_svd)
+        monkeypatch.setattr(np.linalg, name, counted)
     args = dict(n_train=40, n_test=30, seed=3, folds=3, restarts=2)
     alone = bench_toy(sigmas=[0.05], **args) + bench_toy(sigmas=[10.0], **args)
-    separate = svds.value
-    svds.value = 0
+    separate = factored.value
+    factored.value = 0
     together = bench_toy(sigmas=[10.0, 0.05], **args)
     assert _rows(together) == _rows(alone)
     # The second scale repeats the first one's 15 (fold, bandwidth) matrices.
-    assert svds.value <= separate - 15
+    assert factored.value <= separate - 15
 
 
 def _cpus(monkeypatch, cpus):

@@ -492,6 +492,30 @@ def test_closed_forms_follow_the_spec_not_its_name(cat, quad):
     assert gain_mass(mix, 1.0, quad) == pytest.approx(want, rel=1e-14)
 
 
+def test_a_truncated_tail_raises_rather_than_bias_the_constants(cat, quad):
+    # Without its closed form, Cauchy is still 1/401 of its peak at the 20-sigma edge of
+    # the cosine quadrature (1/1601 at gain_mass's 40): the transform came out 3.2% low
+    # and the sandwich's lower constant 1.6% high, with no error.
+    spec = replace(cat["cauchy"], fourier=None)
+    for compute, edge in ((lambda: gain_mass(spec, 1.0, quad), 40),
+                          (lambda: gr.fourier_transform(spec, 1.0, SANDWICH_XI), 20),
+                          (lambda: gr.sandwich_check(spec, 1.0, 1.0, (0.5,), quad), 40)):
+        with pytest.raises(PrecisionFailureError, match=f"cauchy is still .* at {edge} sigma"):
+            compute()
+
+
+@pytest.mark.parametrize("name", ["gaussian", "laplace"])
+def test_light_tails_without_closed_forms_still_certify(cat, quad, name):
+    # Their tails are below 1e-6 of the peak at the window's edge, so the quadrature
+    # path runs as before and lands on the closed forms' constants.
+    deltas = (-0.5, 0.25, 1.0)
+    report = gr.sandwich_check(replace(cat[name], fourier=None), 1.0, 1.0, deltas, quad)
+    closed = gr.sandwich_check(cat[name], 1.0, 1.0, deltas, quad)
+    assert report.passed
+    assert report.lower_constant == pytest.approx(closed.lower_constant, rel=1e-9)
+    assert report.norming_constant == pytest.approx(closed.norming_constant, rel=1e-12)
+
+
 @pytest.mark.parametrize("name", TABLE_GAINS)
 def test_sandwich_table_gains(cat, quad, name):
     report = gr.sandwich_check(

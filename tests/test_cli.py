@@ -444,6 +444,18 @@ def test_a_saved_model_field_of_the_wrong_type_is_invalid_input(tmp_path, argv, 
     assert sorted(p.name for p in tmp_path.iterdir()) == ["d.csv", "m.json"]
 
 
+def test_a_prediction_that_overflows_is_a_runtime_failure(tmp_path):
+    # Finite coefficients and inputs whose product overflows used to print inf rows and a
+    # NumPy RuntimeWarning, and exit 0.
+    (tmp_path / "d.csv").write_text("x_0,y\n0,0\n1,0\n2,0\n")
+    (tmp_path / "m.json").write_text(json.dumps(dict(LINEAR_MODEL, coefficients=[1e308, 1e308])))
+    proc = run_process("predict", "--model", "m.json", "--data", "d.csv", *OUT, cwd=tmp_path)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr == "runtime failure: the prediction for row 1 is inf: the model " \
+                          "overflows a double there\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["d.csv", "m.json"]
+
+
 @pytest.mark.parametrize("argv, message", [
     (["bench", "rates", "--n-list", "50"], "at least two sample sizes"),
     (["bench", "rates", "--n-list", ","], "at least two sample sizes"),

@@ -396,3 +396,41 @@ def test_gain_and_weights_raise_as_the_two_calls(cat, sigma, r, error):
     assert messages[2] == messages[0]
     if error is InvalidParameterError:
         assert messages[1] == messages[0]
+
+
+def test_weight_per_gain_is_what_the_representing_derivative_gives(cat):
+    # The capability states -psi'(u) = c psi(u); the gaussian's c is 1/2.
+    u = np.linspace(0.0, 50.0, 1001)
+    declared = [spec for spec in cat.values() if spec.weight_per_gain is not None]
+    assert [spec.name for spec in declared] == ["gaussian"]
+    for spec in declared:
+        assert np.array_equal(-spec.representing_deriv(u),
+                              spec.weight_per_gain * spec.representing_fn(u))
+
+
+def test_a_spec_without_weight_per_gain_takes_the_two_function_weights(cat):
+    base = cat["gaussian"]
+    calls = []
+
+    def counted(u):
+        calls.append(u)
+        return base.representing_deriv(u)
+
+    r = np.array([0.0, -0.0, 0.3, -1.7, 4.0, 1e3])
+    plain = replace(base, weight_per_gain=None, representing_deriv=counted)
+    gain, w = gr.gain_and_weights(plain, 1.3, r)
+    assert len(calls) == 1
+    assert w.tobytes() == gr.irls_weight(base, 1.3, r).tobytes()
+    calls.clear()
+    # With the capability the weights scale the gain values, bit for bit the same.
+    scaled_gain, scaled = gr.gain_and_weights(replace(base, representing_deriv=counted), 1.3, r)
+    assert calls == []
+    assert (scaled_gain, scaled.tobytes()) == (gain, w.tobytes())
+
+
+@pytest.mark.parametrize("value", [0.0, -0.5, math.inf, math.nan])
+def test_weight_per_gain_needs_weights_and_a_finite_positive_value(cat, value):
+    with pytest.raises(InvalidParameterError, match="weight_per_gain"):
+        replace(cat["gaussian"], weight_per_gain=value)
+    with pytest.raises(InvalidParameterError, match="weight_per_gain"):
+        replace(cat["laplace"], weight_per_gain=0.5)

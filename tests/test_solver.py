@@ -584,17 +584,19 @@ def test_rank_basis_matches_full_basis_solves(cat):
     assert rel(X @ report.model.coefficients, X @ one_step) <= 1e-8
 
 
-def _counted_svds(monkeypatch) -> list:
-    """Record the matrix of every SVD from here on; start with no basis remembered."""
+def _counted_factorizations(monkeypatch, before=None) -> list:
+    """Record (name, matrix) for every SVD and eigh from here on; start with no basis
+    remembered.  ``before(A)``, if given, runs ahead of each factorization."""
     monkeypatch.setattr(solver, "_last_basis", (None, None))
     seen = []
-    svd = np.linalg.svd
+    for name in ("svd", "eigh"):
+        def counted(A, *args, _name=name, _factor=getattr(np.linalg, name), **kwargs):
+            if before is not None:
+                before(A)
+            seen.append((_name, A))
+            return _factor(A, *args, **kwargs)
 
-    def counted_svd(A, *args, **kwargs):
-        seen.append(A)
-        return svd(A, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "svd", counted_svd)
+        monkeypatch.setattr(np.linalg, name, counted)
     return seen
 
 
@@ -602,11 +604,11 @@ def test_a_fit_of_the_matrix_just_factored_takes_no_svd(monkeypatch, cat):
     data = kernel_data()
     fmap = gr.kernel_map(data.inputs, 1.0)
     cfg = gr.SolverConfig(method="irls", max_iters=20, restarts=2)
-    svds = _counted_svds(monkeypatch)
+    factored = _counted_factorizations(monkeypatch)
     first = gr.fit_egm(data, cat["gaussian"], 0.5, fmap, cfg)
-    assert len(svds) == 1 and first.rank < fmap.feature_count
+    assert len(factored) == 1 and first.rank < fmap.feature_count
     again = gr.fit_egm(data, cat["gaussian"], 0.5, fmap, cfg)
-    assert len(svds) == 1
+    assert len(factored) == 1
     assert again.model.coefficients.tobytes() == first.model.coefficients.tobytes()
     assert (again.empirical_gain, again.gain_trace, again.restart_gains, again.iterations,
             again.converged, again.rank) == (first.empirical_gain, first.gain_trace,
@@ -617,9 +619,9 @@ def test_a_fit_of_the_matrix_just_factored_takes_no_svd(monkeypatch, cat):
 def test_rank_basis_is_remembered_for_the_same_bytes_and_shape_only(monkeypatch):
     data = kernel_data()
     X = gr.design_matrix(gr.kernel_map(data.inputs[:40], 1.0), data.inputs)  # 160 x 40
-    svds = _counted_svds(monkeypatch)
+    factored = _counted_factorizations(monkeypatch)
     basis = solver._rank_basis(X)
-    assert solver._rank_basis(X.copy()) is basis and len(svds) == 1
+    assert solver._rank_basis(X.copy()) is basis and len(factored) == 1
     # The stored basis is shared by later fits, so nobody may write to it.
     assert basis is not None and not basis.flags.writeable
     with pytest.raises(ValueError):
@@ -629,8 +631,8 @@ def test_rank_basis_is_remembered_for_the_same_bytes_and_shape_only(monkeypatch)
     off = X.copy()
     off[7, 3] = np.nextafter(off[7, 3], np.inf)
     solver._rank_basis(off)
-    assert [A.shape for A in svds] == [(160, 40), (40, 160), (160, 40)]
-    assert svds[2] is off
+    assert [A.shape for _, A in factored] == [(160, 40), (40, 160), (160, 40)]
+    assert factored[2][1] is off
 
 
 def test_rank_basis_survives_another_thread_replacing_it(monkeypatch):
@@ -641,21 +643,54 @@ def test_rank_basis_survives_another_thread_replacing_it(monkeypatch):
     X = gr.design_matrix(gr.kernel_map(data.inputs, 1.0), data.inputs)
     Y = gr.design_matrix(gr.kernel_map(data.inputs, 0.2), data.inputs)
     expected = solver._rank_basis(X)
-    svds = _counted_svds(monkeypatch)
-    svd = np.linalg.svd
 
-    def other_thread_meanwhile(A, *args, **kwargs):
+    def other_thread_meanwhile(A):
         if A is X:
             other = threading.Thread(target=solver._rank_basis, args=(Y,))
             other.start()
             other.join()
-        return svd(A, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "svd", other_thread_meanwhile)
+    factored = _counted_factorizations(monkeypatch, other_thread_meanwhile)
     basis = solver._rank_basis(X)
-    assert len(svds) == 2 and svds[0] is Y and svds[1] is X
+    assert len(factored) == 2 and factored[0][1] is Y and factored[1][1] is X
     assert basis is not None and np.array_equal(basis, expected)
     assert solver._last_basis[1] is basis
+
+
+@pytest.mark.parametrize("bandwidth", [0.05, 0.2, 1.0])
+def test_symmetric_dictionary_eigh_basis_spans_the_svd_basis(monkeypatch, bandwidth):
+    # A kernel dictionary centred on its own inputs is symmetric: its singular values
+    # are its |eigenvalues|, so eigh keeps as many directions as the SVD, in the same
+    # layout.  The last kept directions sit 12 to 13 orders below the top one, where
+    # the two factorizations pick different rounding noise (their projectors differ by
+    # as much as 3e-3 entrywise), so the projectors are compared on X, as a fit sees them.
+    data = kernel_data()
+    X = gr.design_matrix(gr.kernel_map(data.inputs, bandwidth), data.inputs)
+    assert np.array_equal(X, X.T)
+    _, s, vt = np.linalg.svd(X)
+    r = int(np.sum(s > s[0] * max(X.shape) * np.finfo(float).eps))
+    factored = _counted_factorizations(monkeypatch)
+    basis = solver._rank_basis(X)
+    assert [name for name, _ in factored] == ["eigh"]
+    assert basis is not None and basis.shape == (X.shape[1], r) and r < X.shape[1]
+    assert basis.flags.f_contiguous and not basis.flags.writeable
+    projected = X @ basis @ basis.T
+    assert np.max(np.abs(projected - X @ vt[:r].T @ vt[:r])) <= 1e-10
+    assert np.max(np.abs(projected - X)) <= 1e-10
+
+
+def test_nearly_symmetric_and_non_square_matrices_take_the_svd(monkeypatch):
+    data = kernel_data()
+    X = gr.design_matrix(gr.kernel_map(data.inputs, 0.2), data.inputs)
+    off = X.copy()
+    off[7, 3] = np.nextafter(off[7, 3], np.inf)  # one ulp from symmetric
+    factored = _counted_factorizations(monkeypatch)
+    for A in (X, off, X[:, :40]):
+        solver._rank_basis(A)
+    assert [name for name, _ in factored] == ["eigh", "svd", "svd"]
+    assert factored[1][1] is off
+    # One ulp moves no direction across the cut.
+    assert solver._rank_basis(off).shape == solver._rank_basis(X).shape
 
 
 def test_kernel_fit_save_load_warm_start(tmp_path, capsys, cat):
