@@ -15,7 +15,8 @@ import os
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from typing import Any, Callable, Iterator, Sequence
+from functools import partial
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -119,39 +120,29 @@ def bench_toy(
     scales = sorted({float(s) for s in sigmas})
     if not scales:
         raise InvalidParameterError("the toy benchmark needs at least one scale")
-
-    def split(sub: Dataset, bw: float) -> list[FitReport]:
-        # The scales are fitted back to back on one design matrix, so the solver factors it once.
-        return [_toy_fit(sub, s, bw, seed, 1) for s in scales]
-
-    def final(task: tuple[float, float]) -> ToyFitResult:
-        return toy_fit_at_scale(train, test, *task, seed, restarts)
-
-    with _worker_map(final) as mapper:
-        choices = kfold_select(train, spec, TOY_BANDWIDTH_GRID, split, folds, seed,
+    with _worker_map() as mapper:
+        choices = kfold_select(train, spec, TOY_BANDWIDTH_GRID,
+                               partial(_split_fits, scales=scales, seed=seed), folds, seed,
                                "bw-shuffle", mapper)
-        return mapper(final, [(s, bw) for s, (bw, _) in zip(scales, choices)])
+        final = partial(_final_fit, train, test, seed=seed, restarts=restarts)
+        return mapper(final, scales, [bw for bw, _ in choices])
 
 
-# The task functions of a pool's workers, set in each worker by the pool's
-# initializer; they reach it through the fork, so only a function's index, its
-# picklable task and the result cross the pipe.
-_worker_tasks: tuple[Callable[[Any], object], ...] = ()
+# The mapped functions are module-level, so they pickle by name, and look up the
+# functions they run when called, so a wrapper put in their place (a tracer's) runs.
+def _split_fits(sub: Dataset, bw: float, scales: list[float], seed: int) -> list[FitReport]:
+    # The scales are fitted back to back on one design matrix, so the solver factors it once.
+    return [_toy_fit(sub, s, bw, seed, 1) for s in scales]
 
 
-def _inherit_tasks(functions: tuple[Callable[[Any], object], ...]) -> None:
-    global _worker_tasks
-    _worker_tasks = functions
+def _final_fit(train: Dataset, test: Dataset, sigma: float, bandwidth: float,
+               seed: int, restarts: int) -> ToyFitResult:
+    return toy_fit_at_scale(train, test, sigma, bandwidth, seed, restarts)
 
 
-def _run_task(job: tuple[int, Any]) -> object:
-    which, task = job
-    return _worker_tasks[which](task)
-
-
-def _fork_executor(functions: tuple[Callable[[Any], object], ...], tasks: int):
-    """A fork-context executor whose workers run ``functions``, one per CPU this
-    process may run on and at most ``tasks``, its workers already forked.
+def _fork_executor(tasks: int):
+    """A fork-context executor, one worker per CPU this process may run on and at
+    most ``tasks``, its workers already forked.
 
     None with one worker; when OpenBLAS was not told to run one thread (each
     worker would run its own BLAS threads: unpinned, a 2-CPU host ran the toy
@@ -177,10 +168,7 @@ def _fork_executor(functions: tuple[Callable[[Any], object], ...], tasks: int):
     if "fork" not in multiprocessing.get_all_start_methods():
         return None
     before = set(multiprocessing.active_children())
-    executor = ProcessPoolExecutor(
-        workers, multiprocessing.get_context("fork"),
-        initializer=_inherit_tasks, initargs=(functions,),
-    )
+    executor = ProcessPoolExecutor(workers, multiprocessing.get_context("fork"))
     try:
         executor.submit(int)  # the first submit forks every worker
     except OSError:
@@ -193,33 +181,33 @@ def _fork_executor(functions: tuple[Callable[[Any], object], ...], tasks: int):
 
 
 @contextmanager
-def _worker_map(*later: Callable[[Any], object]) -> Iterator[Callable]:
-    """A ``map(fn, tasks)`` over forked worker processes for the length of the block.
+def _worker_map() -> Iterator[Callable]:
+    """A ``map(fn, *iterables)`` over forked worker processes for the length of the block.
 
-    The workers fork at the first call and inherit that call's ``fn`` and the
-    ``later`` functions with the data their closures hold; only those functions
-    may be mapped.  Results come back in task order, the same for any
-    worker count; without an executor every call is the builtin ``map`` here.
-    An error in a task is raised here with its type and message, a worker that
-    dies (say, killed for memory) is a ``GainRegError``, and the workers end
-    with the block, once the tasks they are running finish.
+    The workers fork at the first call, sized by its task count.  Each call's
+    ``fn`` and tasks are pickled to them and the results pickled back, so ``fn``
+    must pickle: a module-level function, or a ``functools.partial`` of one.
+    Results come back in task order, the same for any worker count; without an
+    executor every call is the builtin ``map`` here.  An error in a task is
+    raised here with its type and message, a worker that dies (say, killed for
+    memory) is a ``GainRegError``, and the workers end with the block, once the
+    tasks they are running finish.
     """
     executor = None
-    functions: tuple[Callable[[Any], object], ...] = ()
+    started = False
 
-    def mapper(fn: Callable[[Any], object], tasks) -> list:
-        nonlocal executor, functions
-        tasks = list(tasks)
-        if not functions:
-            functions = (fn, *later)
-            executor = _fork_executor(functions, len(tasks))
+    def mapper(fn: Callable, *iterables) -> list:
+        nonlocal executor, started
+        columns = [list(it) for it in iterables]
+        if not started:
+            started = True
+            executor = _fork_executor(min(map(len, columns)))
         if executor is None:
-            return list(map(fn, tasks))
+            return list(map(fn, *columns))
         from concurrent.futures.process import BrokenProcessPool
 
-        jobs = [(functions.index(fn), task) for task in tasks]
         try:
-            return list(executor.map(_run_task, jobs))
+            return list(executor.map(fn, *columns))
         except BrokenProcessPool:
             raise GainRegError("a worker process ended mid-task") from None
 

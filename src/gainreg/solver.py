@@ -305,37 +305,39 @@ def _gradient_stage(
     return coeffs, iters, converged
 
 
-def _consensus_count(X: np.ndarray, y: np.ndarray, coeffs: np.ndarray, sigma: float) -> int:
-    return int(np.sum(np.abs(y - X @ coeffs) <= sigma))
+def _consensus_count(X: np.ndarray, y: np.ndarray, coeffs: np.ndarray, radius: float) -> int:
+    with np.errstate(over="ignore", invalid="ignore"):  # residuals past the double range
+        return int(np.sum(np.abs(y - X @ coeffs) <= radius))
 
 
 def _consensus_coordinate_sweep(
-    X: np.ndarray, y: np.ndarray, coeffs: np.ndarray, sigma: float
+    X: np.ndarray, y: np.ndarray, coeffs: np.ndarray, radius: float
 ) -> np.ndarray:
     """Exact 1-d updates: choose each coordinate by interval stabbing."""
     coeffs = coeffs.copy()
     for j in range(X.shape[1]):
         col = X[:, j]
-        rest = y - X @ coeffs + col * coeffs[j]
         active = np.abs(col) > 1e-12
         if not np.any(active):
             continue
-        lo = (rest[active] - sigma) / col[active]
-        hi = (rest[active] + sigma) / col[active]
-        lows = np.minimum(lo, hi)
-        highs = np.maximum(lo, hi)
-        events = np.concatenate([np.stack([lows, np.ones_like(lows)], axis=1),
-                                 np.stack([highs, -np.ones_like(highs)], axis=1)])
-        order = np.lexsort((-events[:, 1], events[:, 0]))
-        events = events[order]
-        running = np.cumsum(events[:, 1])
-        best = int(np.argmax(running))
-        if best + 1 < len(events):
+        # Outputs near the double range overflow here; the caller's gain check rejects them.
+        with np.errstate(over="ignore", invalid="ignore"):
+            rest = y - X @ coeffs + col * coeffs[j]
+            lo = (rest[active] - radius) / col[active]
+            hi = (rest[active] + radius) / col[active]
+            lows = np.minimum(lo, hi)
+            highs = np.maximum(lo, hi)
+            events = np.concatenate([np.stack([lows, np.ones_like(lows)], axis=1),
+                                     np.stack([highs, -np.ones_like(highs)], axis=1)])
+            order = np.lexsort((-events[:, 1], events[:, 0]))
+            events = events[order]
+            running = np.cumsum(events[:, 1])
+            best = int(np.argmax(running))
+            # The first event opens an interval and the last closes one at a count of 0,
+            # so the best is never the last event.
             candidate = 0.5 * (events[best, 0] + events[best + 1, 0])
-        else:
-            candidate = events[best, 0]
-        base = np.sum(np.abs(rest[~active]) <= sigma)
-        if running[best] + base >= _consensus_count(X, y, coeffs, sigma):
+            base = np.sum(np.abs(rest[~active]) <= radius)
+        if running[best] + base >= _consensus_count(X, y, coeffs, radius):
             coeffs[j] = candidate
     return coeffs
 
@@ -346,8 +348,15 @@ def _grid_consensus(
     spec: GainSpec,
     sigma: float,
     cfg: SolverConfig,
-) -> tuple[np.ndarray, int]:
-    """Seeded box search plus coordinate refinement for the box gain."""
+) -> np.ndarray:
+    """Seeded box search plus coordinate refinement for a box gain: the coefficients
+    with the most residuals inside the box's support, ``spec.support_radius`` sigma."""
+    if not math.isfinite(spec.support_radius):
+        raise InvalidParameterError(
+            f"{spec.name}: the consensus search counts residuals inside the box's support, "
+            f"which must be bounded, got support_radius = {spec.support_radius}"
+        )
+    radius = spec.support_radius * sigma
     try:
         anchor = _ols(X, y, cfg.ridge, X.shape[1])
     except SingularSystemError:
@@ -361,21 +370,22 @@ def _grid_consensus(
     buf = np.empty((_CONSENSUS_BLOCK, y.size))
     for i in range(0, _CONSENSUS_SAMPLES, _CONSENSUS_BLOCK):
         block = buf[: _CONSENSUS_SAMPLES - i]
-        np.matmul(samples[i : i + _CONSENSUS_BLOCK], X.T, out=block)
-        np.subtract(y, block, out=block)
+        with np.errstate(over="ignore", invalid="ignore"):  # residuals past the double range
+            np.matmul(samples[i : i + _CONSENSUS_BLOCK], X.T, out=block)
+            np.subtract(y, block, out=block)
         np.abs(block, out=block)
-        counts[i : i + _CONSENSUS_BLOCK] = np.count_nonzero(block <= sigma, axis=1)
+        counts[i : i + _CONSENSUS_BLOCK] = np.count_nonzero(block <= radius, axis=1)
     # Refine several leading candidates; a single basin can trap the sweep.
     top = np.argsort(-counts)[:8]
     best, best_count = samples[int(top[0])], int(counts[int(top[0])])
     for idx in top:
         cand = samples[int(idx)]
         for _ in range(_CONSENSUS_SWEEPS):
-            cand = _consensus_coordinate_sweep(X, y, cand, sigma)
-        count = _consensus_count(X, y, cand, sigma)
+            cand = _consensus_coordinate_sweep(X, y, cand, radius)
+        count = _consensus_count(X, y, cand, radius)
         if count > best_count:
             best, best_count = cand, count
-    return best, best_count
+    return best
 
 
 def _methods(spec: GainSpec) -> tuple[str, ...]:
@@ -437,8 +447,8 @@ def fit_egm(
     stages = [s for s in sorted(cfg.anneal, reverse=True) if s > sigma]
 
     if cfg.method == GRID_CONSENSUS:
-        coeffs, count = _grid_consensus(X, y, spec, sigma, cfg)
-        gain = count / (data.n * 2.0 * sigma)
+        coeffs = _grid_consensus(X, y, spec, sigma, cfg)
+        gain = _mean_gain(spec, sigma, y - X @ coeffs)
         trace, restart_gains = [gain], [gain]
         iters, converged, rank = _CONSENSUS_SWEEPS, True, p
     else:
@@ -453,12 +463,14 @@ def fit_egm(
                 raise InvalidParameterError(
                     f"{anchor.shape[0]} warm-start coefficients for {p} features"
                 )
-            anchor_norm = float(np.linalg.norm(anchor))
+            full = anchor
             if basis is not None:
                 anchor = basis.T @ anchor
         else:
             anchor = _ols(Z, y, cfg.ridge, p)
-            anchor_norm = float(np.linalg.norm(anchor if basis is None else basis @ anchor))
+            full = anchor if basis is None else basis @ anchor
+        with np.errstate(over="ignore"):  # a norm past the double range is inf
+            anchor_norm = float(np.linalg.norm(full))
 
         best: Optional[tuple[float, np.ndarray, list[float], int, bool]] = None
         restart_gains: list[float] = []
@@ -561,10 +573,10 @@ def kfold_select(
     """K-fold choice among candidates by mean held-out gain; ties go to the larger one.
 
     ``fit(train, candidate)`` fits a training split and returns one report per
-    scale; each scale's held-out split is scored at its report's own scale, and
-    each scale gets its own (best candidate, table).  Folds deal a
-    ``stream``-keyed shuffle round-robin.  ``mapper(task, indices)`` runs the
-    (candidate, fold) tasks and gives their scores in task order.
+    scale; each scale's held-out split is scored here at its report's own scale,
+    and each scale gets its own (best candidate, table).  Folds deal a
+    ``stream``-keyed shuffle round-robin.  ``mapper``, with the builtin ``map``'s
+    contract, runs ``fit`` over the (train split, candidate) pairs.
     """
     if folds < 2:
         raise InvalidParameterError("cross-validation needs at least 2 folds")
@@ -575,16 +587,15 @@ def kfold_select(
     if not candidates:
         raise InvalidParameterError("cross-validation needs a non-empty candidate grid")
     order = generator(seed, stream).permutation(data.n)
-    parts = [order[k::folds] for k in range(folds)]
-
-    def score(task: int) -> list[float]:
-        candidate, held = candidates[task // folds], parts[task % folds]
+    trains, helds = [], []
+    for k in range(folds):
         train = np.ones(data.n, dtype=bool)
-        train[held] = False
-        reports = fit(_subset(data, np.flatnonzero(train)), candidate)
-        return [empirical_gain(r.model, _subset(data, held), spec, r.sigma) for r in reports]
-
-    scores = list(mapper(score, range(len(candidates) * folds)))
+        train[order[k::folds]] = False
+        trains.append(_subset(data, np.flatnonzero(train)))
+        helds.append(_subset(data, order[k::folds]))
+    reports = mapper(fit, trains * len(candidates), [c for c in candidates for _ in trains])
+    scores = [[empirical_gain(r.model, held, spec, r.sigma) for r in split]
+              for split, held in zip(reports, helds * len(candidates))]
     by_candidate = [scores[i * folds:(i + 1) * folds] for i in range(len(candidates))]
     choices = []
     for scale in range(len(scores[0])):

@@ -242,3 +242,47 @@ def test_a_worker_that_dies_is_an_error_not_a_wait(monkeypatch):
     with pytest.raises(gr.GainRegError, match="worker process ended"):
         bench_toy(**TOY)
     assert multiprocessing.active_children() == []
+
+
+def _square(x):
+    return x * x
+
+
+def _negate(x):
+    return -x
+
+
+def _add(a, b):
+    return a + b
+
+
+@pytest.mark.parametrize("cpus, workers", [({0, 1}, 2), ({0}, 0)], ids=["pooled", "in-process"])
+def test_one_worker_map_block_maps_two_module_level_functions(monkeypatch, cpus, workers):
+    # Each call pickles its own function to the workers, so a block need not name
+    # its functions up front, and a call may take several iterables, as map does.
+    forks = _count_forks(monkeypatch)
+    _cpus(monkeypatch, cpus)
+    with bench._worker_map() as mapper:
+        assert mapper(_square, range(5)) == [0, 1, 4, 9, 16]
+        assert mapper(_negate, [1.5, 2]) == [-1.5, -2]
+        assert mapper(_add, [1, 2, 3], (10, 20, 30)) == [11, 22, 33]
+    assert len(forks) == workers and multiprocessing.active_children() == []
+
+
+def test_a_wrapped_toy_fit_runs_in_the_workers(monkeypatch):
+    # A tracer puts a local wrapper, which does not pickle, in place of
+    # toy_fit_at_scale; the final fits look it up when they run, so it runs there.
+    forks = _count_forks(monkeypatch)
+    _cpus(monkeypatch, {0, 1})
+    plain = _rows(bench_toy(**TOY))
+    toy_fit_at_scale = bench.toy_fit_at_scale
+    calls = multiprocessing.Value("i", 0)
+
+    def traced(*args, **kwargs):
+        with calls.get_lock():
+            calls.value += 1
+        return toy_fit_at_scale(*args, **kwargs)
+
+    monkeypatch.setattr(bench, "toy_fit_at_scale", traced)
+    assert _rows(bench_toy(**TOY)) == plain
+    assert calls.value == len(TOY["sigmas"]) and len(forks) == 4

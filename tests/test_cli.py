@@ -511,6 +511,23 @@ def test_non_finite_or_out_of_range_values_exit_one(tmp_path, argv):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("magnitude, gain, code, prefix", [
+    ("1e300", "gaussian", 1, "invalid request: t must be finite"),
+    ("1e308", "uniform", 1, "invalid request: t must be finite"),
+    ("1e308", "gaussian", 2, "runtime failure"),
+], ids=["gaussian-1e300", "uniform-1e308", "gaussian-1e308"])
+def test_fit_on_outputs_near_the_double_range_prints_no_warning(tmp_path, magnitude, gain,
+                                                                code, prefix):
+    # The least-squares anchor's norm, and the consensus search's residuals, overflow
+    # on such outputs; the request is refused by the gains' residual-range rule.
+    signs = ("", "-", "", "-")
+    rows = "".join(f"{x},{sign}{magnitude}\n" for x, sign in zip((0.1, 0.2, 0.3, 0.5), signs))
+    (tmp_path / "d.csv").write_text("x_0,y\n" + rows)
+    proc = run_process("fit", "--data", "d.csv", "--gain", gain, "--sigma", "1", cwd=tmp_path)
+    assert proc.returncode == code, proc.stderr
+    assert proc.stderr.startswith(prefix) and proc.stderr.count("\n") == 1, proc.stderr
+
+
 def test_bench_toy_names_a_fold_count_above_the_rows(tmp_path):
     proc = run_process("bench", "toy", "--n-train", "3", "--n-test", "5", "--sigmas", "10",
                        "--folds", "5", "--out", "toy.csv", cwd=tmp_path)

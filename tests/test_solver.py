@@ -350,10 +350,9 @@ def test_grid_consensus_block_size_moves_no_bit(cat, monkeypatch):
     # 4000 candidates leave a partial last block of 160 at the default size.
     X, y = _consensus_problem(500, 61)
     cfg = gr.SolverConfig(method="grid_consensus", seed=4)
-    coeffs, count = solver._grid_consensus(X, y, cat["uniform"], 0.1, cfg)
+    coeffs = solver._grid_consensus(X, y, cat["uniform"], 0.1, cfg)
     monkeypatch.setattr(solver, "_CONSENSUS_BLOCK", solver._CONSENSUS_SAMPLES)
-    whole = solver._grid_consensus(X, y, cat["uniform"], 0.1, cfg)
-    assert count == whole[1] and coeffs.tobytes() == whole[0].tobytes()
+    assert coeffs.tobytes() == solver._grid_consensus(X, y, cat["uniform"], 0.1, cfg).tobytes()
     assert np.allclose(coeffs, [1.0, 2.0], atol=0.2)
 
 
@@ -368,6 +367,25 @@ def test_grid_consensus_counts_in_blocks_not_one_matrix(cat):
     finally:
         tracemalloc.stop()
     assert peak < 32e6
+
+
+def _box2(cat, support_radius=2.0):
+    return replace(cat["uniform"], name="box2", support_radius=support_radius,
+                   generating_fn=lambda s: np.where(np.abs(s) <= 2.0, 0.25, 0.0))
+
+
+def test_grid_consensus_fits_the_box_its_spec_gives(cat):
+    # A box twice the catalog's width: the search counts residuals within 2 sigma,
+    # and the reported gain is the spec's own, not the catalog box's count / (2 n sigma).
+    data = gr.gen_location(200, ("linear", 2, 1), gr.NoiseSpec.gaussian(0, 1), seed=0)
+    report = gr.fit_egm(data, _box2(cat), 1.0, gr.linear_map(1))
+    assert report.empirical_gain == gr.empirical_gain(report.model, data, _box2(cat), 1.0)
+    residuals = data.outputs - gr.predict_batch(report.model, data.inputs)
+    # Counting within sigma, as for the catalog box, found 194 residuals within 2 sigma.
+    assert np.count_nonzero(np.abs(residuals) <= 2.0) >= 194
+    unbounded = _box2(cat, support_radius=np.inf)
+    with pytest.raises(InvalidParameterError, match="support_radius = inf"):
+        gr.fit_egm(data, unbounded, 1.0, gr.linear_map(1))
 
 
 def test_degenerate_weights_error_names_sigma(cat):
