@@ -55,7 +55,7 @@ from .gains import (
     catalog,
     eval_gain,
     eval_gain_derivative,
-    gain_and_weights,
+    gain_weigher,
     generalized_tukey,
     irls_weight,
     lipschitz_L3,

@@ -40,7 +40,7 @@ from .simulate import LocationProblem
 # Grid points of the finite-difference supremum searches behind the Lipschitz estimates.
 _LIPSCHITZ_GRID = 200_001
 # Cosine quadrature of an unbounded gain without a closed form runs over this many sigmas.
-_FOURIER_HALF_WIDTH = 20.0
+_FOURIER_HALF_WIDTH = 40.0
 # First and last node counts of the doubling cosine quadrature of a transform.
 _FOURIER_NODES = (256, 2**14)
 # Rows of cosines per block of a quadrature transform: at most 2 MiB, at the 2^14-node
@@ -290,39 +290,28 @@ def mde_distance(prob: LocationProblem, quad: QuadratureConfig) -> float:
     return math.sqrt(max(value, 0.0))
 
 
-def gain_mass(spec: GainSpec, sigma: float, quad: QuadratureConfig) -> float:
-    """Total mass of the gain: its closed-form Fourier transform at xi = 0, if any.
-
-    Otherwise quadrature, exact over a compact support; a slowly decaying
-    tail such as Cauchy's would leave a percent-level truncation bias in the
-    norming constant, so it raises instead (see ``_window``), and the heavy-tailed
-    entries carry closed forms.
-    """
-    if spec.fourier is not None:
-        return float(spec.fourier(sigma, np.zeros(())))
-
-    def p(t: np.ndarray) -> np.ndarray:
-        return eval_gain(spec, sigma, t)
-
-    t_max = _window(spec, sigma, quad.half_width)
-    return integrate_checked(p, -t_max, t_max, quad, breakpoints=[0.0])
+def gain_mass(spec: GainSpec, sigma: float) -> float:
+    """Total mass of the gain: its Fourier transform at xi = 0 (``fourier_transform``)."""
+    return float(fourier_transform(spec, sigma, 0.0))
 
 
-def _window(spec: GainSpec, sigma: float, half_width: float) -> float:
-    """Half-width of a quadrature over the gain: its support, or ``half_width`` sigmas.
+def _window(spec: GainSpec, sigma: float) -> float:
+    """Half-width of a quadrature over the gain: its support, or ``_FOURIER_HALF_WIDTH`` sigmas.
 
     Node doubling cannot see what lies beyond the window, so a gain that is still
     above ``CONVERGENCE_TOL`` of its peak at the window's edge raises
-    ``PrecisionFailureError`` rather than return a truncated integral.
+    ``PrecisionFailureError`` rather than return a truncated integral; a tail such as
+    Cauchy's would bias the norming constant by percents, so such gains carry closed forms.
     """
     if math.isfinite(spec.support_radius):
         return spec.support_radius * sigma
-    t_max = half_width * sigma
+    t_max = _FOURIER_HALF_WIDTH * sigma
     edge, peak = eval_gain(spec, sigma, t_max), eval_gain(spec, sigma, 0.0)
     if edge > CONVERGENCE_TOL * peak:
         raise PrecisionFailureError(
-            f"{spec.name} is still {edge:.3g} against a peak of {peak:.3g} at {half_width:g} "
-            "sigma, where its integral is cut off; give the spec its closed-form transform"
+            f"{spec.name} is still {edge:.3g} against a peak of {peak:.3g} at "
+            f"{_FOURIER_HALF_WIDTH:g} sigma, where its integral is cut off; give the spec "
+            "its closed-form transform"
         )
     return t_max
 
@@ -331,7 +320,7 @@ def fourier_transform(spec: GainSpec, sigma: float, xi: np.ndarray) -> np.ndarra
     """Real Fourier transform ``int p_sigma(t) cos(xi t) dt`` of the even gain.
 
     The spec's closed form when it has one; otherwise direct cosine quadrature
-    over the exact support of a compact gain, or over ``20 * sigma`` for an
+    over the exact support of a compact gain, or over ``40 * sigma`` for an
     unbounded one whose tail is negligible there (see ``_window``).  The
     quadrature starts from 256 nodes and doubles them until two successive
     transforms agree within ``CONVERGENCE_TOL`` of the largest ``|value|``, and
@@ -345,7 +334,7 @@ def fourier_transform(spec: GainSpec, sigma: float, xi: np.ndarray) -> np.ndarra
     if spec.fourier is not None:
         return spec.fourier(sigma, xi)
 
-    t_max = _window(spec, sigma, _FOURIER_HALF_WIDTH)
+    t_max = _window(spec, sigma)
     mags, back = np.unique(np.abs(xi.ravel()), return_inverse=True)
     nodes = _FOURIER_NODES[0]
     coarse = _cosine_quadrature(spec, sigma, t_max, mags, nodes)
@@ -428,7 +417,7 @@ def sandwich_check(
     def p(t: np.ndarray) -> np.ndarray:
         return eval_gain(spec, sigma, t)
 
-    c_norm = 1.0 / gain_mass(spec, sigma, quad)
+    c_norm = 1.0 / gain_mass(spec, sigma)
 
     xi_max = math.pi / (2.0 * M)
     xi, w = gauss_legendre_rule(256)

@@ -150,7 +150,7 @@ def parse_noise(text: str) -> NoiseSpec:
     if text.startswith("{"):
         try:
             payload = json.loads(text)
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:  # RecursionError: nested too deep
             raise UsageError(f"--noise: malformed JSON ({exc})") from None
         return noise_from_dict(payload)
     kind, *params = text.split(":")
@@ -186,7 +186,7 @@ def noise_from_dict(payload: dict) -> NoiseSpec:
             )
     except KeyError as exc:
         raise UsageError(f"--noise: the JSON has no {exc} field") from None
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, RecursionError) as exc:  # RecursionError: nested too deep
         raise UsageError(f"--noise: malformed JSON field ({exc})") from None
     raise InvalidParameterError(f"unknown noise family {family!r}")
 
@@ -556,7 +556,7 @@ def _with_config(argv: list[str]) -> list[str]:
         raise UsageError("--config needs a path")
     try:
         values = json.loads(Path(config_path).read_text(encoding="utf-8"))
-    except ValueError as exc:  # malformed JSON or undecodable bytes
+    except (ValueError, RecursionError) as exc:  # malformed, undecodable or too deep
         raise UsageError(f"{config_path}: not a JSON file ({exc})") from None
     if not isinstance(values, dict):
         raise UsageError(f"{config_path}: expected a JSON object of flag values")

@@ -172,28 +172,53 @@ def model_to_json(model: HypothesisModel) -> str:
     return json.dumps(payload, indent=2, sort_keys=True)
 
 
+def _json_number(value, field: str) -> float:
+    # JSON true is a Python int and "1.5" would convert, so the type is checked.
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise InvalidInputError(f"saved model {field} must be a number, got {value!r}")
+    return float(value)
+
+
+def _json_numbers(values, field: str) -> list[float]:
+    if not isinstance(values, list):
+        raise InvalidInputError(f"saved model {field} must be a list of numbers, got {values!r}")
+    return [_json_number(v, f"{field} entry") for v in values]
+
+
 def model_from_json(text: str) -> HypothesisModel:
-    """Parse a saved model; a malformed or incomplete file is invalid input."""
+    """Parse a saved model; a malformed, incomplete or mistyped file is invalid input.
+
+    ``input_dim`` is an integer, ``clip`` a boolean, ``M`` a number, ``bandwidth`` null
+    or a number, ``coefficients`` a flat list of numbers and ``centers`` null or a list
+    of rows of numbers.
+    """
     try:
         payload = json.loads(text)
         centers, input_dim, clip = payload["centers"], payload["input_dim"], payload["clip"]
-        # JSON true is a Python int and 1.5 a number, so the types are checked, not the values.
+        bandwidth = payload["bandwidth"]
         if isinstance(input_dim, bool) or not isinstance(input_dim, int):
             raise InvalidInputError(f"saved model input_dim must be an integer, got {input_dim!r}")
         if not isinstance(clip, bool):
             raise InvalidInputError(f"saved model clip must be true or false, got {clip!r}")
+        if centers is not None:
+            if not isinstance(centers, list):
+                raise InvalidInputError(
+                    f"saved model centers must be null or a list of rows, got {centers!r}"
+                )
+            centers = np.asarray([_json_numbers(row, "centers row") for row in centers])
         return HypothesisModel(
             feature_map=FeatureMap(
                 kind=payload["kind"],
                 input_dim=input_dim,
-                centers=None if centers is None else np.asarray(centers, dtype=float),
-                bandwidth=payload["bandwidth"],
+                centers=centers,
+                bandwidth=None if bandwidth is None else _json_number(bandwidth, "bandwidth"),
             ),
-            coefficients=np.asarray(payload["coefficients"], dtype=float),
-            M=payload["M"],
+            coefficients=np.asarray(_json_numbers(payload["coefficients"], "coefficients")),
+            M=_json_number(payload["M"], "M"),
             clip=clip,
         )
     except KeyError as exc:
         raise InvalidInputError(f"saved model has no {exc} field") from None
-    except (TypeError, ValueError) as exc:
+    # An int past the double range overflows; JSON nested past the parser's depth recurses.
+    except (TypeError, ValueError, OverflowError, RecursionError) as exc:
         raise InvalidInputError(f"not a saved model ({exc})") from None

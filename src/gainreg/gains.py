@@ -166,11 +166,8 @@ def eval_gain_derivative(spec: GainSpec, sigma: float, t) -> float | np.ndarray:
 
 def loss_from_gain(spec: GainSpec, sigma: float, t) -> float | np.ndarray:
     """Bounded loss dual of the gain: ``scale * sigma^a * (p_sigma(0) - p_sigma(t))``."""
-    sigma = _check_sigma(sigma)
-    arr, scalar = _as_points(t, sigma)
-    drop = eval_gain(spec, sigma, 0.0) - eval_gain(spec, sigma, arr)
-    vals = spec.loss_scale * sigma**spec.loss_sigma_exponent * drop
-    return float(vals) if scalar else vals
+    drop = eval_gain(spec, sigma, 0.0) - eval_gain(spec, sigma, t)  # these check sigma and t
+    return spec.loss_scale * float(sigma) ** spec.loss_sigma_exponent * drop
 
 
 def irls_weight(spec: GainSpec, sigma: float, r) -> float | np.ndarray:
@@ -182,26 +179,20 @@ def irls_weight(spec: GainSpec, sigma: float, r) -> float | np.ndarray:
     return float(vals) if scalar else vals
 
 
-def gain_and_weights(spec: GainSpec, sigma: float, r) -> tuple[float, np.ndarray]:
-    """Mean gain and half-quadratic weights of one residual vector, from one checked pass.
-
-    Bit-equal to ``float(np.mean(eval_gain(spec, sigma, r)))`` and
-    ``irls_weight(spec, sigma, r)``, with their errors; an out-of-range residual
-    is named as ``eval_gain`` names it.
-    """
-    return gain_weigher(spec, sigma)(r)
-
-
 def gain_weigher(
     spec: GainSpec, sigma: float
 ) -> Callable[[np.ndarray], tuple[float, np.ndarray]]:
-    """``gain_and_weights`` at one scale: the spec and sigma are checked here, once,
-    and each call of the returned function checks only its residual range.
+    """The mean gain and half-quadratic weights of a residual vector, in one pass.
+
+    The spec and sigma are checked here, once, and each call of the returned function
+    checks only its residual range.  ``gain_weigher(spec, sigma)(r)`` is bit-equal to
+    ``float(np.mean(eval_gain(spec, sigma, r)))`` and ``irls_weight(spec, sigma, r)``,
+    with their errors; an out-of-range residual is named as ``eval_gain`` names it.
 
     A spec with ``weight_per_gain`` gets its weights by scaling the gain values, one
-    ``exp`` where psi' would take a second.  For the gaussian that is bit-equal:
-    ``-0.5*s*s`` and ``-0.5*(s**2)`` round alike because halving is exact, and
-    ``exp / 2`` is never negative, so the clamp in ``_weights`` changes nothing.
+    ``exp`` where psi' would take a second.  For the gaussian that is bit-equal: its
+    phi(s) is psi(s * s), ``s * s`` and ``s**2`` round alike, and ``exp / 2`` is never
+    negative, so the clamp in ``_weights`` changes nothing.
     """
     _check_weighted(spec)
     sigma = _check_sigma(sigma)
@@ -232,8 +223,8 @@ def _weights(spec: GainSpec, u: np.ndarray) -> np.ndarray:
     return np.maximum(vals, 0.0)
 
 
-def _grid_sup(fn: ArrayFn, lo: float, hi: float, n: int = _CONSTANT_GRID) -> float:
-    grid = np.linspace(lo, hi, n)
+def _grid_sup(fn: ArrayFn, lo: float, hi: float) -> float:
+    grid = np.linspace(lo, hi, _CONSTANT_GRID)
     vals = np.abs(fn(grid))
     vals = vals[np.isfinite(vals)]
     return float(vals.max())
@@ -243,16 +234,14 @@ def _searched_constants(
     generating_deriv: ArrayFn,
     representing_deriv: ArrayFn,
     c0: float,
-    support_radius: float,
-    search_halfwidth: float = 10.0,
+    hi: float,
 ) -> GainConstants:
     """Supremum-search constants for gains the reference table does not list.
 
-    L1 comes from the generating derivative (``|d/dt psi(t^2)| = |phi'(t)|``),
-    L2 from differencing the analytic ``psi'`` on [0, 1).  Both carry a 1%
+    L1 comes from the generating derivative (``|d/dt psi(t^2)| = |phi'(t)|``) on
+    [0, hi], L2 from differencing the analytic ``psi'`` on [0, 1).  Both carry a 1%
     declared slack so finer verification grids stay below them.
     """
-    hi = support_radius if math.isfinite(support_radius) else search_halfwidth
     L1 = _grid_sup(generating_deriv, 0.0, hi) * DECLARED_HEADROOM
     # psi' only needs a Lipschitz bound on [0, 1); keep the stencil strictly
     # inside so a psi' jump at the support edge cannot leak in.
@@ -261,6 +250,12 @@ def _searched_constants(
     second = (representing_deriv(u + h) - representing_deriv(u - h)) / (2.0 * h)
     L2 = float(np.abs(second[np.isfinite(second)]).max()) * DECLARED_HEADROOM
     return _constants(L1, L2, c0)
+
+
+def _phi_from_psi(psi: ArrayFn) -> ArrayFn:
+    """The generating function phi(s) = psi(s * s).  phi' stays written out: 2 s psi'(s^2)
+    rounds differently, and at s = -1 the right-sided convention differs from psi'(1)."""
+    return lambda s: psi(s * s)
 
 
 def _signp(s: np.ndarray) -> np.ndarray:
@@ -282,10 +277,6 @@ def _tukey(m: int, n: int, tabulated: Optional[GainConstants]) -> GainSpec:
         raise InvalidParameterError(f"power indices must satisfy m >= 1, n >= 1, got ({m}, {n})")
     m, n = int(m), int(n)
 
-    def phi(s: np.ndarray) -> np.ndarray:
-        a = np.abs(s)
-        return np.where(a <= 1.0, (1.0 - np.minimum(a, 1.0) ** m) ** n, 0.0)
-
     def dphi(s: np.ndarray) -> np.ndarray:
         a = np.abs(s)
         inside = (s >= -1.0) & (s < 1.0)
@@ -299,10 +290,14 @@ def _tukey(m: int, n: int, tabulated: Optional[GainConstants]) -> GainSpec:
         def dpsi(u: np.ndarray) -> np.ndarray:
             return np.where(u < 1.0, -n * (1.0 - np.minimum(u, 1.0)) ** (n - 1), 0.0)
 
+        phi = _phi_from_psi(psi)
         constants = tabulated or _searched_constants(dphi, dpsi, float(n), 1.0)
     else:
-        psi = dpsi = None
-        constants = None
+        def phi(s: np.ndarray) -> np.ndarray:
+            a = np.abs(s)
+            return np.where(a <= 1.0, (1.0 - np.minimum(a, 1.0) ** m) ** n, 0.0)
+
+        psi = dpsi = constants = None
 
     return GainSpec(
         name=f"generalized_tukey_{m}_{n}",
@@ -323,9 +318,6 @@ def _tukey(m: int, n: int, tabulated: Optional[GainConstants]) -> GainSpec:
 
 
 def _cauchy() -> GainSpec:
-    def phi(s):
-        return 1.0 / (1.0 + s * s)
-
     def dphi(s):
         return -2.0 * s / (1.0 + s * s) ** 2
 
@@ -337,7 +329,7 @@ def _cauchy() -> GainSpec:
 
     return GainSpec(
         name="cauchy",
-        generating_fn=phi,
+        generating_fn=_phi_from_psi(psi),
         generating_deriv=dphi,
         representing_fn=psi,
         representing_deriv=dpsi,
@@ -358,9 +350,6 @@ def _gaussian() -> GainSpec:
     # Half-exponent convention: psi(u) = exp(-u/2), matching the tabulated
     # constants L1 = e^{-1/2}, L2 = 1/4.  The exp(-t^2/sigma^2) variant is
     # available as a one-component mixture_gain.
-    def phi(s):
-        return np.exp(-0.5 * s * s)
-
     def dphi(s):
         return -s * np.exp(-0.5 * s * s)
 
@@ -372,7 +361,7 @@ def _gaussian() -> GainSpec:
 
     return GainSpec(
         name="gaussian",
-        generating_fn=phi,
+        generating_fn=_phi_from_psi(psi),
         generating_deriv=dphi,
         representing_fn=psi,
         representing_deriv=dpsi,
@@ -423,9 +412,6 @@ def _laplace() -> GainSpec:
 def _cosine() -> GainSpec:
     half_pi = math.pi / 2.0
 
-    def phi(s):
-        return np.where(np.abs(s) <= 1.0, np.cos(half_pi * np.clip(s, -1.0, 1.0)), 0.0)
-
     def dphi(s):
         inside = (s >= -1.0) & (s < 1.0)
         return np.where(inside, -half_pi * np.sin(half_pi * np.clip(s, -1.0, 1.0)), 0.0)
@@ -443,7 +429,7 @@ def _cosine() -> GainSpec:
 
     return GainSpec(
         name="cosine",
-        generating_fn=phi,
+        generating_fn=_phi_from_psi(psi),
         generating_deriv=dphi,
         representing_fn=psi,
         representing_deriv=dpsi,
@@ -562,10 +548,6 @@ def mixture_gain(components: Sequence[tuple[float, float]]) -> GainSpec:
     w = np.array([c[0] for c in comps])
     inv_s2 = np.array([1.0 / c[1] ** 2 for c in comps])
 
-    def phi(s):
-        s = np.asarray(s, dtype=float)
-        return np.exp(-np.multiply.outer(s * s, inv_s2)) @ w
-
     def dphi(s):
         s = np.asarray(s, dtype=float)
         e = np.exp(-np.multiply.outer(s * s, inv_s2))
@@ -590,13 +572,13 @@ def mixture_gain(components: Sequence[tuple[float, float]]) -> GainSpec:
     label = ", ".join(f"({wi:g}, {1.0 / math.sqrt(si):g})" for wi, si in zip(w, inv_s2))
     return GainSpec(
         name=f"mixture[{label}]",
-        generating_fn=phi,
+        generating_fn=_phi_from_psi(psi),
         generating_deriv=dphi,
         representing_fn=psi,
         representing_deriv=dpsi,
         type_alpha=(2.0, c0),
         type_exact=False,
-        constants=_searched_constants(dphi, dpsi, c0, math.inf, search_halfwidth=8.0 * widest),
+        constants=_searched_constants(dphi, dpsi, c0, 8.0 * widest),
         support_radius=math.inf,
         loss_scale=1.0,
         loss_sigma_exponent=0,

@@ -264,9 +264,16 @@ def _gradient_stage(
     residuals give the next gradient.  The starting gain and each accepted step's gain
     go onto ``trace``, so its last entry is the gain of the returned coefficients.
     ``features`` matches the reweighting stage's signature; a gradient step has no ridge.
+    A start with no residual inside a compact support has a zero gradient, so it raises
+    ``DegenerateIterateError``, as a reweighting stage does when its weights vanish.
     """
     residuals = y - X @ coeffs
     gain = _mean_gain(spec, sigma, residuals)
+    if gain == 0.0 and math.isfinite(spec.support_radius):
+        raise DegenerateIterateError(
+            f"no residual inside the gain's support at sigma = {sigma}; "
+            "increase sigma or anneal from a larger scale"
+        )
     trace.append(gain)
     step = _STEP_INIT
     move = last_grad = None
@@ -348,19 +355,23 @@ def _grid_consensus(
     spec: GainSpec,
     sigma: float,
     cfg: SolverConfig,
+    warm: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Seeded box search plus coordinate refinement for a box gain: the coefficients
-    with the most residuals inside the box's support, ``spec.support_radius`` sigma."""
+    with the most residuals inside the box's support, ``spec.support_radius`` sigma.
+    The search centres on ``warm`` when given, else on the least-squares fit."""
     if not math.isfinite(spec.support_radius):
         raise InvalidParameterError(
             f"{spec.name}: the consensus search counts residuals inside the box's support, "
             f"which must be bounded, got support_radius = {spec.support_radius}"
         )
     radius = spec.support_radius * sigma
-    try:
-        anchor = _ols(X, y, cfg.ridge, X.shape[1])
-    except SingularSystemError:
-        anchor = np.zeros(X.shape[1])
+    anchor = warm
+    if anchor is None:
+        try:
+            anchor = _ols(X, y, cfg.ridge, X.shape[1])
+        except SingularSystemError:
+            anchor = np.zeros(X.shape[1])
     rng = generator(cfg.seed, "consensus")
     width = 3.0 * (np.abs(anchor) + 1.0)
     samples = rng.uniform(-1.0, 1.0, size=(_CONSENSUS_SAMPLES, X.shape[1]))
@@ -377,7 +388,8 @@ def _grid_consensus(
         counts[i : i + _CONSENSUS_BLOCK] = np.count_nonzero(block <= radius, axis=1)
     # Refine several leading candidates; a single basin can trap the sweep.
     top = np.argsort(-counts)[:8]
-    best, best_count = samples[int(top[0])], int(counts[int(top[0])])
+    lead = 0 if warm is not None else int(top[0])  # ties go to the warm start
+    best, best_count = samples[lead], int(counts[lead])
     for idx in top:
         cand = samples[int(idx)]
         for _ in range(_CONSENSUS_SWEEPS):
@@ -416,8 +428,11 @@ def fit_egm(
 
     Each restart runs the anneal stages above ``sigma``, then ``sigma`` itself,
     warm-starting each stage; a restart's gain is the last entry of its final
-    stage's trace.  ``init_coefficients`` replaces the ordinary-least-squares
-    anchor (warm start); perturbed restarts still scatter around it.
+    stage's trace.  If every restart degenerates, they all run again down a ladder
+    from 8 sigma (8, 4 and 2 sigma merged with the anneal stages), and only that
+    pass degenerating raises.  ``init_coefficients`` replaces the ordinary-least-squares
+    anchor (warm start), or centres the box gain's search; perturbed restarts still
+    scatter around it.
     """
     if sigma <= 0:
         raise InvalidParameterError("sigma must be positive")
@@ -445,9 +460,14 @@ def fit_egm(
     bound = default_sup_bound(y) if M is None else float(M)
 
     stages = [s for s in sorted(cfg.anneal, reverse=True) if s > sigma]
+    warm = None
+    if init_coefficients is not None:
+        warm = np.array(init_coefficients, dtype=float).ravel()  # a copy: fits may return it
+        if warm.shape[0] != p:
+            raise InvalidParameterError(f"{warm.shape[0]} warm-start coefficients for {p} features")
 
     if cfg.method == GRID_CONSENSUS:
-        coeffs = _grid_consensus(X, y, spec, sigma, cfg)
+        coeffs = _grid_consensus(X, y, spec, sigma, cfg, warm)
         gain = _mean_gain(spec, sigma, y - X @ coeffs)
         trace, restart_gains = [gain], [gain]
         iters, converged, rank = _CONSENSUS_SWEEPS, True, p
@@ -457,52 +477,53 @@ def fit_egm(
         # full basis is kept; with one, the fit runs in Z = X V and maps back.
         basis = None if ridge_off else _rank_basis(X)
         Z = X if basis is None else X @ basis
-        if init_coefficients is not None:
-            anchor = np.asarray(init_coefficients, dtype=float).ravel()
-            if anchor.shape[0] != p:
-                raise InvalidParameterError(
-                    f"{anchor.shape[0]} warm-start coefficients for {p} features"
-                )
-            full = anchor
-            if basis is not None:
-                anchor = basis.T @ anchor
+        if warm is not None:
+            full = warm
+            anchor = warm if basis is None else basis.T @ warm
         else:
             anchor = _ols(Z, y, cfg.ridge, p)
             full = anchor if basis is None else basis @ anchor
         with np.errstate(over="ignore"):  # a norm past the double range is inf
             anchor_norm = float(np.linalg.norm(full))
+        starts = [anchor]
+        scale = 0.5 * (anchor_norm if anchor_norm > 0 else 1.0)
+        for r in range(1, cfg.restarts):
+            # Drawn in the p feature dimensions, so the streams match at any rank.
+            noise = generator(cfg.seed, "restart", r).standard_normal(p)
+            step = scale * noise / max(np.linalg.norm(noise), 1e-300)
+            starts.append(anchor + (step if basis is None else basis.T @ step))
 
-        best: Optional[tuple[float, np.ndarray, list[float], int, bool]] = None
-        restart_gains: list[float] = []
-        degenerate: Optional[DegenerateIterateError] = None
-        for r in range(cfg.restarts):
-            if r == 0:
-                coeffs = anchor.copy()
-            else:
-                # Drawn in the p feature dimensions, so the streams match at any rank.
-                noise = generator(cfg.seed, "restart", r).standard_normal(p)
-                scale = 0.5 * (anchor_norm if anchor_norm > 0 else 1.0)
-                step = scale * noise / max(np.linalg.norm(noise), 1e-300)
-                coeffs = anchor + (step if basis is None else basis.T @ step)
-            try:
-                iters = 0
-                for stage_sigma in (*stages, sigma):
-                    trace: list[float] = []
-                    coeffs, it, converged = stage_fn(Z, y, coeffs, spec, stage_sigma, cfg, trace, p)
-                    iters += it
-            except DegenerateIterateError as exc:
-                # A wild restart can leave every residual outside the support;
-                # skip it unless every restart degenerates.
-                degenerate = exc
-                restart_gains.append(-math.inf)
-                continue
-            gain = trace[-1]
-            restart_gains.append(gain)
-            if best is None or gain > best[0]:
-                best = (gain, coeffs, trace, iters, converged)
+        def run_restarts(ladder: list[float]) -> tuple[tuple, list[float]]:
+            """The best restart down the ladder and each restart's gain.  A restart that
+            degenerates (a wild one can leave every residual outside the support) scores
+            -inf; the last such error is raised if every restart degenerates."""
+            best, gains = None, []
+            for coeffs in starts:
+                try:
+                    iters = 0
+                    for stage_sigma in ladder:
+                        trace: list[float] = []
+                        coeffs, it, converged = stage_fn(
+                            Z, y, coeffs, spec, stage_sigma, cfg, trace, p
+                        )
+                        iters += it
+                except DegenerateIterateError as exc:
+                    degenerate = exc
+                    gains.append(-math.inf)
+                    continue
+                gains.append(trace[-1])
+                if best is None or trace[-1] > best[0]:
+                    best = (trace[-1], coeffs, trace, iters, converged)
+            if best is None:
+                raise degenerate
+            return best, gains
 
-        if best is None:  # every restart degenerated
-            raise degenerate
+        try:
+            best, restart_gains = run_restarts([*stages, sigma])
+        except DegenerateIterateError:
+            # Anneal down from a coarser scale, where the gain's loss nears least squares.
+            ladder = sorted({*stages, 8.0 * sigma, 4.0 * sigma, 2.0 * sigma}, reverse=True)
+            best, restart_gains = run_restarts([*ladder, sigma])
         gain, coeffs, trace, iters, converged = best
         rank = Z.shape[1]
         if basis is not None:

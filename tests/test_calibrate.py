@@ -473,34 +473,34 @@ def test_sandwich_lower_constant_in_blocks_not_one_matrix(cat, quad):
     assert peak < 8e6
 
 
-def test_gain_mass_values(cat, quad):
-    assert gain_mass(cat["cauchy"], 1.0, quad) == pytest.approx(math.pi, rel=1e-14)
-    assert gain_mass(cat["uniform"], 2.0, quad) == pytest.approx(1.0, rel=1e-12)
-    assert gain_mass(cat["cosine"], 1.0, quad) == pytest.approx(4.0 / math.pi, rel=1e-12)
+def test_gain_mass_values(cat):
+    assert gain_mass(cat["cauchy"], 1.0) == pytest.approx(math.pi, rel=1e-14)
+    assert gain_mass(cat["uniform"], 2.0) == pytest.approx(1.0, rel=1e-12)
+    assert gain_mass(cat["cosine"], 1.0) == pytest.approx(4.0 / math.pi, rel=1e-12)
 
 
-def test_closed_forms_follow_the_spec_not_its_name(cat, quad):
+def test_closed_forms_follow_the_spec_not_its_name(cat):
     # A triweight renamed "gaussian" keeps its own mass 32/35 and its own transform.
     fake = replace(cat["triweight"], name="gaussian")
-    assert gain_mass(fake, 1.0, quad) == pytest.approx(32.0 / 35.0, rel=1e-12)
+    assert gain_mass(fake, 1.0) == pytest.approx(32.0 / 35.0, rel=1e-12)
     xi = np.array([0.0, 1.0])
     assert np.array_equal(gr.fourier_transform(fake, 1.0, xi),
                           gr.fourier_transform(cat["triweight"], 1.0, xi))
     # A mixture's mass is its closed-form transform at zero: sqrt(pi) sum_j w_j s_j.
     mix = gr.mixture_gain([(0.3, 0.7), (0.7, 2.5)])
     want = math.sqrt(math.pi) * (0.3 * 0.7 + 0.7 * 2.5)
-    assert gain_mass(mix, 1.0, quad) == pytest.approx(want, rel=1e-14)
+    assert gain_mass(mix, 1.0) == pytest.approx(want, rel=1e-14)
 
 
 def test_a_truncated_tail_raises_rather_than_bias_the_constants(cat, quad):
-    # Without its closed form, Cauchy is still 1/401 of its peak at the 20-sigma edge of
-    # the cosine quadrature (1/1601 at gain_mass's 40): the transform came out 3.2% low
-    # and the sandwich's lower constant 1.6% high, with no error.
+    # Without its closed form, Cauchy is still 1/1601 of its peak at the 40-sigma edge of
+    # the cosine quadrature; at a 20-sigma edge, 1/401 of it, the transform came out 3.2%
+    # low and the sandwich's lower constant 1.6% high, with no error.
     spec = replace(cat["cauchy"], fourier=None)
-    for compute, edge in ((lambda: gain_mass(spec, 1.0, quad), 40),
-                          (lambda: gr.fourier_transform(spec, 1.0, SANDWICH_XI), 20),
-                          (lambda: gr.sandwich_check(spec, 1.0, 1.0, (0.5,), quad), 40)):
-        with pytest.raises(PrecisionFailureError, match=f"cauchy is still .* at {edge} sigma"):
+    for compute in (lambda: gain_mass(spec, 1.0),
+                    lambda: gr.fourier_transform(spec, 1.0, SANDWICH_XI),
+                    lambda: gr.sandwich_check(spec, 1.0, 1.0, (0.5,), quad)):
+        with pytest.raises(PrecisionFailureError, match="cauchy is still .* at 40 sigma"):
             compute()
 
 

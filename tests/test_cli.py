@@ -444,6 +444,56 @@ def test_a_saved_model_field_of_the_wrong_type_is_invalid_input(tmp_path, argv, 
     assert sorted(p.name for p in tmp_path.iterdir()) == ["d.csv", "m.json"]
 
 
+KERNEL_WRONG_TYPES = [("bandwidth", True), ("centers", [[True], [0.5]])]
+
+
+@pytest.mark.parametrize("model, field", [
+    *[(dict(LINEAR_MODEL, **{field: value}), field) for field, value in [
+        ("M", True), ("M", "10"), ("coefficients", [True, 1.5]), ("coefficients", ["1.5", 2]),
+        ("coefficients", [[1.0], [2.0]]), ("coefficients", 1.0)]],
+    *[(dict(KERNEL_MODEL, **{field: value}), field) for field, value in KERNEL_WRONG_TYPES],
+    (dict(KERNEL_MODEL, centers=0.5), "centers"),
+], ids=["M-true", "M-string", "coefficient-true", "coefficient-string", "coefficients-nested",
+        "coefficients-number", "bandwidth-true", "center-true", "centers-number"])
+def test_a_saved_model_number_of_the_wrong_json_type_is_invalid_input(tmp_path, model, field):
+    # Each used to load: "M": true clipped to +-1 under "clip": true, the coefficient lists
+    # loaded as [1, 1.5], [1.5, 2] and [1, 2], and a kernel's true as 1.
+    (tmp_path / "d.csv").write_text("x_0,y\n0,1\n1,2\n2,3\n")
+    (tmp_path / "m.json").write_text(json.dumps(dict(model, clip=True)))
+    proc = run_process("predict", "--model", "m.json", "--data", "d.csv", *OUT, cwd=tmp_path)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.startswith(f"invalid request: saved model {field}"), proc.stderr
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["d.csv", "m.json"]
+
+
+def _nested_noise(depth: int) -> str:
+    """Contaminated noise whose base is contaminated noise, ``depth`` levels deep."""
+    head = '{"family": "contaminated", "rate": 0.1, "outlier_values": [5], "base": '
+    return head * depth + '{"family": "student_t", "df": 3}' + "}" * depth
+
+
+@pytest.mark.parametrize("argv, prefix", [
+    (["predict", "--model", "deep.json", "--data", "d.csv", *OUT], "invalid request"),
+    (["--config", "deep.json", "fit", "--data", "d.csv", "--gain", "gaussian", "--sigma", "1"],
+     "usage error"),
+    (["simulate", "--model", "location", "--noise", _nested_noise(1500), *OUT], "usage error"),
+], ids=["model", "config", "noise"])
+def test_json_nested_past_the_parser_depth_exits_one(tmp_path, argv, prefix):
+    # Each ended in a RecursionError traceback.
+    (tmp_path / "d.csv").write_text("x_0,y\n0,1\n1,2\n2,3\n")
+    (tmp_path / "deep.json").write_text("[" * 100_000)
+    proc = run_process(*argv, cwd=tmp_path)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.startswith(prefix) and "Traceback" not in proc.stderr, proc.stderr
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["d.csv", "deep.json"]
+
+
+def test_a_noise_json_within_the_parser_depth_still_simulates(tmp_path):
+    proc = run_process("simulate", "--model", "location", "--n", "5", "--noise",
+                       _nested_noise(900), *OUT, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_a_prediction_that_overflows_is_a_runtime_failure(tmp_path):
     # Finite coefficients and inputs whose product overflows used to print inf rows and a
     # NumPy RuntimeWarning, and exit 0.

@@ -8,7 +8,10 @@ values) so the module runs in a few seconds, although each ``bench toy``
 example forks its workers.
 """
 
+import contextlib
+import io
 import json
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -193,6 +196,77 @@ def test_predict_on_saved_model_values_keeps_the_exit_codes(workdir, values, dro
     argv = ["predict", "--model", str(path), "--data", str(workdir / "d.csv"),
             "--out", str(workdir / "predictions.csv")]
     assert main(argv) in CODES
+
+
+# Saved-model field values: numbers (non-finite, huge and subnormal ones too, and an int
+# past the double range), and every other JSON type.
+NUMBERS = st.one_of(st.floats(), st.integers(-3, 10),
+                    st.sampled_from([1e308, -1e308, 5e-324, 1e-160, 10**400]))
+NOT_NUMBERS = st.one_of(st.booleans(), st.none(), st.sampled_from(["1.5", "abc", ""]),
+                        st.dictionaries(st.just("a"), st.integers(0, 3), max_size=1))
+FIELD_VALUES = {
+    "kind": st.sampled_from(["kernel_dictionary", "linear_with_intercept", "linear", 1]),
+    "input_dim": st.one_of(st.integers(-1, 3), NUMBERS, NOT_NUMBERS),
+    "clip": st.one_of(st.booleans(), NUMBERS, NOT_NUMBERS),
+    "M": st.one_of(NUMBERS, NOT_NUMBERS),
+    "bandwidth": st.one_of(NUMBERS, NOT_NUMBERS),
+    "coefficients": st.one_of(st.lists(NUMBERS, max_size=4), st.lists(NOT_NUMBERS, max_size=2),
+                              st.lists(st.lists(NUMBERS, max_size=1), max_size=2),
+                              NUMBERS, NOT_NUMBERS),
+    "centers": st.one_of(st.lists(st.lists(NUMBERS, max_size=2), max_size=4),
+                         st.lists(st.one_of(NUMBERS, NOT_NUMBERS), max_size=2),
+                         st.lists(st.lists(NOT_NUMBERS, max_size=1), max_size=2),
+                         NUMBERS, NOT_NUMBERS),
+    "nosuch": st.one_of(NUMBERS, NOT_NUMBERS),
+}
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_numbers(value) -> bool:
+    return isinstance(value, list) and all(map(_is_number, value))
+
+
+def _well_typed(model: dict) -> bool:
+    """Every field present with its JSON type; extra keys are allowed."""
+    if not set(MODEL) <= set(model):
+        return False
+    centers = model["centers"]
+    return (_is_number(model["input_dim"]) and isinstance(model["input_dim"], int)
+            and isinstance(model["clip"], bool) and _is_number(model["M"])
+            and (model["bandwidth"] is None or _is_number(model["bandwidth"]))
+            and _is_numbers(model["coefficients"])
+            and (centers is None or isinstance(centers, list) and all(map(_is_numbers, centers))))
+
+
+@settings(max_examples=200)
+@given(values=st.fixed_dictionaries({}, optional=FIELD_VALUES),
+       drop=st.sets(st.sampled_from(sorted(MODEL)), max_size=2),
+       linear=st.booleans())
+def test_a_saved_model_body_predicts_finite_rows_or_is_refused(workdir, values, drop, linear):
+    model = dict(MODEL)
+    if linear:
+        model.update(kind="linear_with_intercept", centers=None, bandwidth=None,
+                     coefficients=[1.0, -2.0])
+    model = {key: value for key, value in model.items() if key not in drop}
+    model.update(values)
+    path, out = workdir / "model.json", workdir / "predictions.csv"
+    path.write_text(json.dumps(model))
+    out.unlink(missing_ok=True)
+    stderr = io.StringIO()
+    with contextlib.redirect_stderr(stderr):
+        code = main(["predict", "--model", str(path), "--data", str(workdir / "d.csv"),
+                     "--out", str(out)])
+    if code == 0:
+        assert _well_typed(model), model
+        rows = out.read_text().splitlines()[1:]
+        assert len(rows) == 6 and all(math.isfinite(float(r.split(",")[1])) for r in rows)
+    elif code == 1:
+        assert stderr.getvalue().startswith("invalid request"), stderr.getvalue()
+    else:
+        assert code == 2 and stderr.getvalue().startswith("runtime failure"), stderr.getvalue()
 
 
 BENCH_TOY_FLAGS = ["--n-train", "--n-test", "--sigmas", "--seed", "--folds", "--restarts"]

@@ -198,7 +198,7 @@ def test_irls_weight_examples(cat):
         with pytest.raises(UnsupportedOperationError):
             gr.irls_weight(cat[name], 1.0, 0.5)
         with pytest.raises(UnsupportedOperationError):
-            gr.gain_and_weights(cat[name], 1.0, np.array([0.5]))
+            gr.gain_weigher(cat[name], 1.0)(np.array([0.5]))
 
 
 @pytest.mark.parametrize("name", TYPE2)
@@ -356,6 +356,20 @@ def _weighted_specs(cat):
     )
 
 
+def test_every_generating_function_is_its_representing_function_of_the_square(cat):
+    # Normal and +-1.2-uniform draws; 0, the support edge 1 and its neighbours; subnormals;
+    # magnitudes up to 1e154, whose square is still finite.  Both signs of each.
+    rng = np.random.default_rng(0)
+    edges = [0.0, 1.0, np.nextafter(1.0, 2.0), np.nextafter(1.0, 0.0), 5e-324, 1e-310, 2.2e-308]
+    s = np.concatenate([rng.standard_normal(200_000), rng.uniform(-1.2, 1.2, 200_000),
+                        np.logspace(-320, 154, 10_000), edges])
+    s = np.concatenate([s, -s])
+    for spec in _weighted_specs(cat):
+        with np.errstate(over="ignore"):  # a mixture's s^2 / s_j^2 passes the double range
+            phi, psi = spec.generating_fn(s), spec.representing_fn(s * s)
+        assert phi.tobytes() == psi.tobytes(), spec.name
+
+
 @pytest.mark.parametrize("sigma", [1.3, 2, 1e-3, 1e4])
 def test_gain_and_weights_is_bit_equal_to_the_two_calls(cat, sigma):
     # Zeros of both signs, the support edge, tiny and large residuals.
@@ -365,7 +379,7 @@ def test_gain_and_weights_is_bit_equal_to_the_two_calls(cat, sigma):
     assert len(specs) == 12
     for spec in specs:
         for sample in (r, r[:1], r[2:7]):
-            gain, w = gr.gain_and_weights(spec, sigma, sample)
+            gain, w = gr.gain_weigher(spec, sigma)(sample)
             assert type(gain) is float
             assert gain == float(np.mean(gr.eval_gain(spec, sigma, sample))), spec.name
             expected = gr.irls_weight(spec, sigma, sample)
@@ -388,7 +402,11 @@ def test_gain_and_weights_is_bit_equal_to_the_two_calls(cat, sigma):
 def test_gain_and_weights_raise_as_the_two_calls(cat, sigma, r, error):
     spec = cat["cauchy"]
     messages = []
-    for fn in (gr.eval_gain, gr.irls_weight, gr.gain_and_weights):
+
+    def weigh(spec, sigma, r):
+        return gr.gain_weigher(spec, sigma)(r)
+
+    for fn in (gr.eval_gain, gr.irls_weight, weigh):
         with pytest.raises(error) as info:
             fn(spec, sigma, np.array(r))
         messages.append(str(info.value))
@@ -418,12 +436,12 @@ def test_a_spec_without_weight_per_gain_takes_the_two_function_weights(cat):
 
     r = np.array([0.0, -0.0, 0.3, -1.7, 4.0, 1e3])
     plain = replace(base, weight_per_gain=None, representing_deriv=counted)
-    gain, w = gr.gain_and_weights(plain, 1.3, r)
+    gain, w = gr.gain_weigher(plain, 1.3)(r)
     assert len(calls) == 1
     assert w.tobytes() == gr.irls_weight(base, 1.3, r).tobytes()
     calls.clear()
     # With the capability the weights scale the gain values, bit for bit the same.
-    scaled_gain, scaled = gr.gain_and_weights(replace(base, representing_deriv=counted), 1.3, r)
+    scaled_gain, scaled = gr.gain_weigher(replace(base, representing_deriv=counted), 1.3)(r)
     assert calls == []
     assert (scaled_gain, scaled.tobytes()) == (gain, w.tobytes())
 

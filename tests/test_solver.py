@@ -395,6 +395,58 @@ def test_degenerate_weights_error_names_sigma(cat):
         gr.fit_egm(data, cat["triweight"], 1e-4, gr.linear_map(1), cfg)
 
 
+def _seed_24_round_5():
+    """The n = 50 data set, scale and restart seed of round 5 of the linear_catalog
+    benchmark at run seed 24, where the least-squares anchor leaves every residual
+    outside a compact support at sigma = 50^(1/4)."""
+    noise = gr.NoiseSpec.contaminated(gr.NoiseSpec.gaussian(0.0, 1.0), 0.1, (-50.0, 50.0))
+    seed = int(np.random.default_rng([24, 5, 50]).integers(0, 2**31))
+    data = gr.gen_location(50, "linear:2:1", noise, seed=seed)
+    restart_seed = int(np.random.default_rng([24, 5, 50, 1]).integers(0, 2**31))
+    return data, gr.sigma_schedule("theta1", 1, 1, 50), restart_seed
+
+
+@pytest.mark.parametrize("name", ["triweight", "epanechnikov", "cosine", "quartic",
+                                  "tricube", "triangular"])
+def test_degenerate_fits_anneal_from_a_coarser_scale(cat, name):
+    # The reweighted fits raised DegenerateIterateError in all 3 restarts, and the gradient
+    # fits (tricube, triangular) returned the least-squares anchor at gain 0.
+    data, sigma, seed = _seed_24_round_5()
+    cfg = gr.default_config(cat[name], restarts=3, seed=seed)
+    report = gr.fit_egm(data, cat[name], sigma, gr.linear_map(1), cfg)
+    assert report.empirical_gain > 0.0
+    slope, intercept = report.model.coefficients  # the truth is 2 and 1
+    assert 1.5 < slope < 3.5 and 0.3 < intercept < 1.5
+
+
+def test_a_gradient_stage_outside_a_compact_support_is_degenerate(cat):
+    data = linear_data(n=30, seed=71)
+    X = np.column_stack([data.inputs[:, 0], np.ones(data.n)])
+    cfg = gr.SolverConfig(method="gradient")
+    for name in ("tricube", "triangular"):
+        with pytest.raises(DegenerateIterateError, match="no residual inside"):
+            solver._gradient_stage(X, data.outputs, np.array([0.0, 100.0]), cat[name], 1.0,
+                                   cfg, [], 2)
+
+
+def test_the_box_gain_honours_a_warm_start(cat):
+    noise = gr.NoiseSpec.contaminated(gr.NoiseSpec.gaussian(0.0, 1.0), 0.1, (-50.0, 50.0))
+    data = gr.gen_location(200, "linear:2:1", noise, seed=3)
+    spec, sigma, fmap = cat["uniform"], gr.sigma_schedule("theta1", 1, 1, 200), gr.linear_map(1)
+    base = gr.fit_egm(data, spec, sigma, fmap)
+    # The search centres on the warm start, which has 14 residuals within sigma, and
+    # reaches 180, the count of the fit from least squares, on another of the tied lines.
+    far = gr.fit_egm(data, spec, sigma, fmap, init_coefficients=[100.0, -50.0])
+    assert far.model.coefficients == pytest.approx([3.33414, 0.47326], abs=1e-5)
+    assert far.empirical_gain == pytest.approx(180 / (200 * 2 * sigma), rel=1e-12)
+    assert base.empirical_gain == far.empirical_gain
+    # Ties go to the warm start, so a fit from its own optimum returns it bit for bit.
+    own = gr.fit_egm(data, spec, sigma, fmap, init_coefficients=base.model.coefficients)
+    assert own.model.coefficients.tobytes() == base.model.coefficients.tobytes()
+    with pytest.raises(InvalidParameterError, match="3 warm-start coefficients for 2"):
+        gr.fit_egm(data, spec, sigma, fmap, init_coefficients=[1.0, 2.0, 3.0])
+
+
 def test_singular_system_without_ridge(cat):
     # Constant input makes [x, 1] rank one.
     data = gr.Dataset(inputs=np.full((20, 1), 0.5), outputs=np.ones(20))
