@@ -112,7 +112,7 @@ def bench_toy(
     Every scale's bandwidth cross-validation splits the same training set the
     same way, so one task fits a (bandwidth, fold) split at every scale, back to
     back on one design matrix.  The split tasks, then one final fit per (scale,
-    bandwidth) task, run through ``_worker_map``.
+    bandwidth) task, run through ``_worker_map``, sized by the split tasks.
     """
     train = gen_toy(n_train, seed)
     test = gen_toy(n_test, seed + 1)
@@ -120,7 +120,7 @@ def bench_toy(
     scales = sorted({float(s) for s in sigmas})
     if not scales:
         raise InvalidParameterError("the toy benchmark needs at least one scale")
-    with _worker_map() as mapper:
+    with _worker_map(len(TOY_BANDWIDTH_GRID) * folds) as mapper:
         choices = kfold_select(train, spec, TOY_BANDWIDTH_GRID,
                                partial(_split_fits, scales=scales, seed=seed), folds, seed,
                                "bw-shuffle", mapper)
@@ -147,9 +147,9 @@ def _fork_executor(tasks: int):
     None with one worker; when OpenBLAS was not told to run one thread (each
     worker would run its own BLAS threads: unpinned, a 2-CPU host ran the toy
     acceptance test 5x slower in two workers than in one process); without
-    ``fork`` or ``os.sched_getaffinity`` (macOS, whose system libraries are not
-    fork-safe); while other threads run (a fork copies the locks they hold); or
-    when a fork fails.
+    ``os.sched_getaffinity`` (macOS, whose system libraries are not fork-safe;
+    every platform with it has ``fork``); while other threads run (a fork copies
+    the locks they hold); or when a fork fails.
     """
     blas_threads = os.environ.get("OPENBLAS_NUM_THREADS", os.environ.get("OMP_NUM_THREADS"))
     if (
@@ -165,8 +165,6 @@ def _fork_executor(tasks: int):
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    if "fork" not in multiprocessing.get_all_start_methods():
-        return None
     before = set(multiprocessing.active_children())
     executor = ProcessPoolExecutor(workers, multiprocessing.get_context("fork"))
     try:
@@ -181,10 +179,10 @@ def _fork_executor(tasks: int):
 
 
 @contextmanager
-def _worker_map() -> Iterator[Callable]:
+def _worker_map(tasks: int) -> Iterator[Callable]:
     """A ``map(fn, *iterables)`` over forked worker processes for the length of the block.
 
-    The workers fork at the first call, sized by its task count.  Each call's
+    The workers fork when the block opens, at most ``tasks`` of them.  Each call's
     ``fn`` and tasks are pickled to them and the results pickled back, so ``fn``
     must pickle: a module-level function, or a ``functools.partial`` of one.
     Results come back in task order, the same for any worker count; without an
@@ -193,21 +191,15 @@ def _worker_map() -> Iterator[Callable]:
     memory) is a ``GainRegError``, and the workers end with the block, once the
     tasks they are running finish.
     """
-    executor = None
-    started = False
+    executor = _fork_executor(tasks)
 
     def mapper(fn: Callable, *iterables) -> list:
-        nonlocal executor, started
-        columns = [list(it) for it in iterables]
-        if not started:
-            started = True
-            executor = _fork_executor(min(map(len, columns)))
         if executor is None:
-            return list(map(fn, *columns))
+            return list(map(fn, *iterables))
         from concurrent.futures.process import BrokenProcessPool
 
         try:
-            return list(executor.map(fn, *columns))
+            return list(executor.map(fn, *iterables))
         except BrokenProcessPool:
             raise GainRegError("a worker process ended mid-task") from None
 

@@ -24,17 +24,7 @@ import numpy as np
 from . import __version__
 from .bench import TOY_BANDWIDTH_GRID, bench_rates, bench_toy
 from .calibrate import certify_gain, sandwich_check, sandwich_row
-from .errors import (
-    CertificationFailureError,
-    DegenerateIterateError,
-    GainRegError,
-    InvalidInputError,
-    InvalidParameterError,
-    NonFiniteResultError,
-    PrecisionFailureError,
-    SingularSystemError,
-    UnsupportedOperationError,
-)
+from .errors import GainRegError, InvalidInputError, InvalidParameterError, NonFiniteResultError
 from .features import (
     DEFAULT_CENTER_CAP,
     HypothesisModel,
@@ -58,13 +48,12 @@ from .solver import (
 )
 
 EXIT_OK = 0
-EXIT_USAGE = 1
 EXIT_RUNTIME = 2
 EXIT_CERTIFICATION = 3
 
 
-class UsageError(Exception):
-    pass
+class UsageError(GainRegError):
+    exit_code, label = 1, "usage error"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -92,17 +81,25 @@ def _write_rows(path: Optional[str], header: Sequence[str], rows: Sequence[Seque
             emit(handle)
 
 
-def _write_sidecar(args, **resolved) -> None:
-    """``<out>.meta.json``: every parsed flag, the full subcommand, the version, and the
-    values the command resolved (which replace their flags); none for stdout."""
+def _sidecar(args, **resolved) -> Optional[str]:
+    """The text of ``<out>.meta.json``: every parsed flag, the full subcommand, the
+    version, and the values the command resolved (which replace their flags); None
+    for stdout.  Commands build it before they write, so a run whose sidecar cannot
+    be written writes nothing."""
     if args.out is None or args.out == "-":
-        return
+        return None
     metadata = {k: v for k, v in vars(args).items() if k not in ("fn", "config", "out")}
     words = (metadata["command"], metadata.pop("bench_command", None))
     metadata.update(command=" ".join(filter(None, words)), version=__version__, **resolved)
-    Path(args.out + ".meta.json").write_text(
-        json.dumps(metadata, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    try:
+        return json.dumps(metadata, indent=2, sort_keys=True) + "\n"
+    except RecursionError:  # a noise nested about as deep as the parser allows
+        raise UsageError("--noise: nested too deep to record in the sidecar") from None
+
+
+def _write_sidecar(args, text: Optional[str]) -> None:
+    if text is not None:
+        Path(args.out + ".meta.json").write_text(text, encoding="utf-8")
 
 
 def dataset_to_csv(data: Dataset, path: str) -> None:
@@ -281,13 +278,14 @@ def cmd_simulate(args) -> int:
         data = gen_location(args.n, args.truth, noise, args.seed, input_dim=args.input_dim)
     if not args.out:
         raise UsageError("simulate requires --out")
-    dataset_to_csv(data, args.out)
-    _write_sidecar(
+    sidecar = _sidecar(
         args,
         truth=data.truth,
         noise=None if data.noise is None else data.noise.describe(),
         input_dim=data.inputs.shape[1],
     )
+    dataset_to_csv(data, args.out)
+    _write_sidecar(args, sidecar)
     return EXIT_OK
 
 
@@ -397,10 +395,11 @@ def cmd_bench_toy(args) -> int:
             rows.append(["curve", res.sigma, res.bandwidth, "", "", "", x, yhat])
     header = ["kind", "sigma", "bandwidth", "rmse_mean_ref", "rmse_mode_ref",
               "train_gain", "x", "fhat"]
-    _write_rows(args.out, header, rows)
-    _write_sidecar(
+    sidecar = _sidecar(
         args, sigmas=[res.sigma for res in results], bandwidth_grid=list(TOY_BANDWIDTH_GRID)
     )
+    _write_rows(args.out, header, rows)
+    _write_sidecar(args, sidecar)
     return EXIT_OK
 
 
@@ -408,6 +407,7 @@ def cmd_bench_rates(args) -> int:
     _gain(args.gain)  # an unknown name is a usage error, as in fit
     noise = parse_noise(args.noise)
     n_list = _numbers(args.n_list, "--n-list", int)
+    sidecar = _sidecar(args, noise=noise.describe(), n_list=n_list)
     cells, slope = bench_rates(
         args.gain,
         noise,
@@ -427,7 +427,7 @@ def cmd_bench_rates(args) -> int:
     rows.append(["slope", "", "", "", "", "", slope])
     header = ["kind", "n", "sigma", "theta_exponent", "egm_err_median", "ols_err_median", "slope"]
     _write_rows(args.out, header, rows)
-    _write_sidecar(args, noise=noise.describe(), n_list=n_list)
+    _write_sidecar(args, sidecar)
     return EXIT_OK
 
 
@@ -582,25 +582,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = parser.parse_args(_with_config(argv))
         return args.fn(args)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (InvalidParameterError, InvalidInputError, UnsupportedOperationError) as exc:
-        print(f"invalid request: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (
-        PrecisionFailureError, DegenerateIterateError, SingularSystemError, NonFiniteResultError
-    ) as exc:
-        print(f"runtime failure: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
-    except CertificationFailureError as exc:
-        print(f"certification failure: {exc}", file=sys.stderr)
-        return EXIT_CERTIFICATION
+    except GainRegError as exc:  # each class carries its exit code and label
+        print(f"{exc.label}: {exc}", file=sys.stderr)
+        return exc.exit_code
     except OSError as exc:
         print(f"i/o failure: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
-    except GainRegError as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 
 

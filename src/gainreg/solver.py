@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -158,7 +158,10 @@ def _weighted_solve(
 
 
 def _ols(X: np.ndarray, y: np.ndarray, ridge: Optional[float], features: int) -> np.ndarray:
-    return _weighted_solve(X, y, np.ones(len(y)), ridge, features)
+    # Outputs near the double range overflow the normal equations; the solve's
+    # finiteness check refuses the result, with no NumPy warning beside it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _weighted_solve(X, y, np.ones(len(y)), ridge, features)
 
 
 def _rank_basis(X: np.ndarray) -> Optional[np.ndarray]:
@@ -572,13 +575,7 @@ def sigma_schedule(variant: str, epsilon: float, q: float, n: int) -> float:
 
 
 def _subset(data: Dataset, idx: np.ndarray) -> Dataset:
-    return Dataset(
-        inputs=data.inputs[idx],
-        outputs=data.outputs[idx],
-        seed=data.seed,
-        noise=data.noise,
-        truth=data.truth,
-    )
+    return replace(data, inputs=data.inputs[idx], outputs=data.outputs[idx])
 
 
 def kfold_select(

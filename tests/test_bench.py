@@ -262,7 +262,7 @@ def test_one_worker_map_block_maps_two_module_level_functions(monkeypatch, cpus,
     # its functions up front, and a call may take several iterables, as map does.
     forks = _count_forks(monkeypatch)
     _cpus(monkeypatch, cpus)
-    with bench._worker_map() as mapper:
+    with bench._worker_map(5) as mapper:
         assert mapper(_square, range(5)) == [0, 1, 4, 9, 16]
         assert mapper(_negate, [1.5, 2]) == [-1.5, -2]
         assert mapper(_add, [1, 2, 3], (10, 20, 30)) == [11, 22, 33]

@@ -107,6 +107,31 @@ def test_axioms_raise_on_non_finite_generating_values(quad):
         gr.check_gain_axioms(bad, quad)
 
 
+def _dip(s):
+    # -0.1 on 0.8 < |s| < 1, inside the support: negative there, and rising back to 0
+    # at the support's edge.
+    s = np.abs(s)
+    return -0.1 * ((s > 0.8) & (s < 1.0))
+
+
+def _bump(s):
+    # +0.2 within 0.05 of |s| = 0.6: positive, but rising away from the peak.
+    return 0.2 * (np.abs(np.abs(s) - 0.6) < 0.05)
+
+
+@pytest.mark.parametrize("offset, notes", [
+    (_dip, ("negative values found", "monotonicity violated on grid")),
+    (_bump, ("monotonicity violated on grid",)),
+], ids=["dip", "bump"])
+def test_axioms_reject_a_negative_or_rising_triweight(cat, quad, offset, notes):
+    # No catalog gain reaches these branches; certify takes only catalog gains.
+    phi = cat["triweight"].generating_fn
+    bad = replace(cat["triweight"], name="altered", generating_fn=lambda s: phi(s) + offset(s))
+    report = gr.check_gain_axioms(bad, quad)
+    assert not report.axiom_pass and report.notes == notes
+    assert report.max_violation > 0.09
+
+
 def test_estimate_lipschitz_tight_table_entries(cat):
     # These three table constants are the true suprema of |d/dt psi(t^2)|.
     l1, l2 = gr.estimate_lipschitz(cat["epanechnikov"])

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import gainreg as gr
-from gainreg import bench
+from gainreg import bench, cli
 from gainreg.cli import dataset_from_csv, main
 
 
@@ -56,6 +56,20 @@ def test_usage_errors_exit_one(capsys):
 def test_missing_file_exit_two(tmp_path):
     assert run("fit", "--data", str(tmp_path / "absent.csv"), "--gain", "gaussian",
                "--sigma", "1") == 2
+
+
+@pytest.mark.parametrize("error, line, code", [
+    (gr.CertificationFailureError, "certification failure: x", 3),
+    (gr.GainRegError, "error: x", 2),
+], ids=["certification-failure", "package-error"])
+def test_a_package_error_prints_its_label_and_exits_with_its_code(monkeypatch, capsys,
+                                                                   error, line, code):
+    def failing_certify(spec, quad):
+        raise error("x")
+
+    monkeypatch.setattr(cli, "certify_gain", failing_certify)
+    assert run("certify", "--gain", "gaussian") == code
+    assert capsys.readouterr().err == line + "\n"
 
 
 def test_simulate_writes_csv_and_sidecar(tmp_path):
@@ -466,10 +480,10 @@ def test_a_saved_model_number_of_the_wrong_json_type_is_invalid_input(tmp_path, 
     assert sorted(p.name for p in tmp_path.iterdir()) == ["d.csv", "m.json"]
 
 
-def _nested_noise(depth: int) -> str:
+def _nested_noise(depth: int, base: str = '{"family": "student_t", "df": 3}') -> str:
     """Contaminated noise whose base is contaminated noise, ``depth`` levels deep."""
     head = '{"family": "contaminated", "rate": 0.1, "outlier_values": [5], "base": '
-    return head * depth + '{"family": "student_t", "df": 3}' + "}" * depth
+    return head * depth + base + "}" * depth
 
 
 @pytest.mark.parametrize("argv, prefix", [
@@ -492,6 +506,24 @@ def test_a_noise_json_within_the_parser_depth_still_simulates(tmp_path):
     proc = run_process("simulate", "--model", "location", "--n", "5", "--noise",
                        _nested_noise(900), *OUT, cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("depth", range(980, 991))
+def test_a_noise_json_at_the_parser_depth_writes_both_files_or_neither(tmp_path, depth):
+    # A mixture base nests two lists deeper in the sidecar than in the noise; at one
+    # depth the parser took, the CSV was written and the sidecar's JSON then ended in
+    # a RecursionError traceback.
+    mixture = '{"family": "gaussian_mixture", "mixture": [[1.0, 0.0, 1.0]]}'
+    proc = run_process("simulate", "--model", "location", "--n", "5", "--noise",
+                       _nested_noise(depth, mixture), "--out", "o.csv", cwd=tmp_path)
+    files = sorted(p.name for p in tmp_path.iterdir())
+    if proc.returncode == 0:
+        assert files == ["o.csv", "o.csv.meta.json"]
+    else:
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stderr.startswith("usage error") and proc.stderr.count("\n") == 1, \
+            proc.stderr
+        assert files == []
 
 
 def test_a_prediction_that_overflows_is_a_runtime_failure(tmp_path):
@@ -561,17 +593,24 @@ def test_non_finite_or_out_of_range_values_exit_one(tmp_path, argv):
     assert "Traceback" not in proc.stderr
 
 
-@pytest.mark.parametrize("magnitude, gain, code, prefix", [
-    ("1e300", "gaussian", 1, "invalid request: t must be finite"),
-    ("1e308", "uniform", 1, "invalid request: t must be finite"),
-    ("1e308", "gaussian", 2, "runtime failure"),
-], ids=["gaussian-1e300", "uniform-1e308", "gaussian-1e308"])
-def test_fit_on_outputs_near_the_double_range_prints_no_warning(tmp_path, magnitude, gain,
+FRACTIONS, INTEGERS = (0.1, 0.2, 0.3, 0.5), (0, 1, 2, 3)
+
+
+@pytest.mark.parametrize("xs, magnitude, gain, code, prefix", [
+    (FRACTIONS, "1e300", "gaussian", 1, "invalid request: t must be finite"),
+    (FRACTIONS, "1e308", "uniform", 1, "invalid request: t must be finite"),
+    (FRACTIONS, "1e308", "gaussian", 2, "runtime failure"),
+    (INTEGERS, "1e308", "gaussian", 2, "runtime failure"),
+    (INTEGERS, "1e308", "uniform", 1, "invalid request: t must be finite"),
+], ids=["gaussian-1e300", "uniform-1e308", "gaussian-1e308", "gaussian-1e308-integer-inputs",
+        "uniform-1e308-integer-inputs"])
+def test_fit_on_outputs_near_the_double_range_prints_no_warning(tmp_path, xs, magnitude, gain,
                                                                 code, prefix):
     # The least-squares anchor's norm, and the consensus search's residuals, overflow
-    # on such outputs; the request is refused by the gains' residual-range rule.
+    # on such outputs; the request is refused by the gains' residual-range rule.  On
+    # the integer inputs the anchor's normal equations overflow too, and used to warn.
     signs = ("", "-", "", "-")
-    rows = "".join(f"{x},{sign}{magnitude}\n" for x, sign in zip((0.1, 0.2, 0.3, 0.5), signs))
+    rows = "".join(f"{x},{sign}{magnitude}\n" for x, sign in zip(xs, signs))
     (tmp_path / "d.csv").write_text("x_0,y\n" + rows)
     proc = run_process("fit", "--data", "d.csv", "--gain", gain, "--sigma", "1", cwd=tmp_path)
     assert proc.returncode == code, proc.stderr

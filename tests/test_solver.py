@@ -338,6 +338,27 @@ def test_grid_consensus_recovers_majority_line(cat):
     assert report.model.M == gr.default_sup_bound(y) and not report.model.clip
 
 
+def test_grid_consensus_centres_on_zero_when_the_anchor_is_singular(cat, monkeypatch):
+    # Every input at 0.5 and no ridge: the least-squares anchor is singular, so the
+    # search centres on zero and still finds the 14 agreeing outputs.
+    data = gr.Dataset(inputs=np.full((20, 1), 0.5), outputs=[5.0] * 14 + [-20.0] * 6)
+    ols, raised = solver._ols, []
+
+    def spy(*args):
+        try:
+            return ols(*args)
+        except gr.SingularSystemError as exc:
+            raised.append(exc)
+            raise
+
+    monkeypatch.setattr(solver, "_ols", spy)
+    cfg = gr.SolverConfig(method="grid_consensus", ridge=0.0)
+    report = gr.fit_egm(data, cat["uniform"], 0.5, gr.linear_map(1), cfg)
+    assert len(raised) == 1
+    assert report.model.coefficients.tolist() == [10.0, 0.0]
+    assert report.empirical_gain == 14 / (20 * 2 * 0.5)
+
+
 def _consensus_problem(n, seed):
     rng = np.random.default_rng(seed)
     X = np.column_stack([np.ones(n), rng.random(n)])
