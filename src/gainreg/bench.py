@@ -29,6 +29,7 @@ from .solver import (
     FitReport,
     default_config,
     fit_egm,
+    fit_scales,
     kfold_select,
     predict_batch,
     schedule_exponent,
@@ -53,14 +54,15 @@ def anneal_ladder(sigma: float) -> tuple[float, ...]:
 
 
 def _toy_fit(
-    data: Dataset, sigma: float, bandwidth: float, seed: int, restarts: int
-) -> FitReport:
-    """The toy's fit: the gaussian gain on a kernel dictionary, annealed down to ``sigma``."""
+    data: Dataset, bandwidth: float, sigmas: Sequence[float], seed: int, restarts: int
+) -> list[FitReport]:
+    """The toy's fits, one per scale: the gaussian gain on one kernel dictionary, each
+    annealed down to its scale.  Every halving chain is a prefix of the smallest scale's."""
     spec = catalog()["gaussian"]
     fmap = kernel_map(subsample_centers(data.inputs, DEFAULT_CENTER_CAP, seed), bandwidth)
     cfg = default_config(spec, max_iters=60, tol=1e-8, restarts=restarts, seed=seed,
-                         anneal=anneal_ladder(sigma))
-    return fit_egm(data, spec, sigma, fmap, cfg)
+                         anneal=anneal_ladder(min(sigmas)))
+    return fit_scales(data, spec, sigmas, fmap, cfg)
 
 
 @dataclass(frozen=True)
@@ -83,7 +85,7 @@ def toy_fit_at_scale(
     restarts: int = 3,
 ) -> ToyFitResult:
     """The final fit at one scale and its cross-validated bandwidth, scored on the test set."""
-    report = _toy_fit(train, sigma, bandwidth, seed, restarts)
+    report = _toy_fit(train, bandwidth, (sigma,), seed, restarts)[0]
     predictions = predict_batch(report.model, test.inputs)
     mean_ref, mode_ref = toy_references(test.inputs[:, 0])
     curve_x = np.linspace(0.0, 1.0, 101)
@@ -110,8 +112,8 @@ def bench_toy(
     """Toy fits at each distinct scale, ascending, at the bandwidth its cross-validation picks.
 
     Every scale's bandwidth cross-validation splits the same training set the
-    same way, so one task fits a (bandwidth, fold) split at every scale, back to
-    back on one design matrix.  The split tasks, then one final fit per (scale,
+    same way, so one task fits a (bandwidth, fold) split at every scale in one
+    ``fit_scales`` call.  The split tasks, then one final fit per (scale,
     bandwidth) task, run through ``_worker_map``, sized by the split tasks.
     """
     train = gen_toy(n_train, seed)
@@ -122,19 +124,14 @@ def bench_toy(
         raise InvalidParameterError("the toy benchmark needs at least one scale")
     with _worker_map(len(TOY_BANDWIDTH_GRID) * folds) as mapper:
         choices = kfold_select(train, spec, TOY_BANDWIDTH_GRID,
-                               partial(_split_fits, scales=scales, seed=seed), folds, seed,
-                               "bw-shuffle", mapper)
+                               partial(_toy_fit, sigmas=scales, seed=seed, restarts=1), folds,
+                               seed, "bw-shuffle", mapper)
         final = partial(_final_fit, train, test, seed=seed, restarts=restarts)
         return mapper(final, scales, [bw for bw, _ in choices])
 
 
-# The mapped functions are module-level, so they pickle by name, and look up the
-# functions they run when called, so a wrapper put in their place (a tracer's) runs.
-def _split_fits(sub: Dataset, bw: float, scales: list[float], seed: int) -> list[FitReport]:
-    # The scales are fitted back to back on one design matrix, so the solver factors it once.
-    return [_toy_fit(sub, s, bw, seed, 1) for s in scales]
-
-
+# Mapped, as ``_toy_fit`` is: module-level, so it pickles by name, and looks up
+# toy_fit_at_scale when called, so a wrapper put in its place (a tracer's) runs.
 def _final_fit(train: Dataset, test: Dataset, sigma: float, bandwidth: float,
                seed: int, restarts: int) -> ToyFitResult:
     return toy_fit_at_scale(train, test, sigma, bandwidth, seed, restarts)

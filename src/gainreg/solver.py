@@ -19,7 +19,6 @@ monotone in its own objective.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
@@ -58,8 +57,6 @@ _CONSENSUS_SAMPLES = 4000
 _CONSENSUS_SWEEPS = 3
 # Candidates whose residuals are counted at a time, through one reused buffer.
 _CONSENSUS_BLOCK = 256
-# The last design matrix factored, as (shape, blake2b digest), and its rank basis.
-_last_basis: tuple[Optional[tuple], Optional[np.ndarray]] = (None, None)
 
 
 @dataclass(frozen=True)
@@ -173,14 +170,8 @@ def _rank_basis(X: np.ndarray) -> Optional[np.ndarray]:
     dropping them moves no fit.  None when nothing is dropped.  A bitwise symmetric
     X, such as a kernel dictionary centred on its own inputs, is factored by
     ``eigh`` at about half an SVD's cost: its singular values are its |eigenvalues|,
-    so the same cut keeps the same directions.  The last matrix's basis is kept,
-    read-only, so back-to-back fits of one matrix factor it once.
+    so the same cut keeps the same directions.
     """
-    global _last_basis
-    key = (X.shape, hashlib.blake2b(np.ascontiguousarray(X)).digest())
-    last_key, basis = _last_basis  # read once: another thread may replace it
-    if last_key == key:
-        return basis
     p, eps = X.shape[1], np.finfo(float).eps
     if X.shape[0] == p and np.array_equal(X, X.T):
         lam, vecs = np.linalg.eigh(X)
@@ -189,17 +180,12 @@ def _rank_basis(X: np.ndarray) -> Optional[np.ndarray]:
         r = int(np.count_nonzero(keep))
         # Largest first, as the SVD orders them; the column pick copies in Fortran
         # layout, as the SVD branch does.
-        basis = vecs[:, np.flatnonzero(keep)[::-1]] if 0 < r < p else None
-    else:
-        _, s, vt = np.linalg.svd(X, full_matrices=False)
-        r = int(np.sum(s > s[0] * max(X.shape) * eps))
-        # Copy the r rows before transposing: the basis keeps the view's Fortran layout
-        # (so products with it round as before) without holding all of vt.
-        basis = vt[:r].copy().T if 0 < r < p else None
-    if basis is not None:
-        basis.flags.writeable = False
-    _last_basis = (key, basis)
-    return basis
+        return vecs[:, np.flatnonzero(keep)[::-1]] if 0 < r < p else None
+    _, s, vt = np.linalg.svd(X, full_matrices=False)
+    r = int(np.sum(s > s[0] * max(X.shape) * eps))
+    # Copy the r rows before transposing: the basis keeps the view's Fortran layout
+    # (so products with it round as before) without holding all of vt.
+    return vt[:r].copy().T if 0 < r < p else None
 
 
 def _irls_stage(
@@ -417,27 +403,36 @@ def default_config(spec: GainSpec, **overrides) -> SolverConfig:
     return SolverConfig(method=_methods(spec)[0], **overrides)
 
 
-def fit_egm(
+def fit_egm(data: Dataset, spec: GainSpec, sigma: float, fmap: FeatureMap,
+            cfg: Optional[SolverConfig] = None, M: Optional[float] = None, clip: bool = False,
+            init_coefficients: Optional[np.ndarray] = None) -> FitReport:
+    """Maximize the empirical gain of the data over the feature map's span: ``fit_scales``
+    at the one scale ``sigma``."""
+    return fit_scales(data, spec, (sigma,), fmap, cfg, M, clip, init_coefficients)[0]
+
+
+def fit_scales(
     data: Dataset,
     spec: GainSpec,
-    sigma: float,
+    sigmas: Sequence[float],
     fmap: FeatureMap,
     cfg: Optional[SolverConfig] = None,
     M: Optional[float] = None,
     clip: bool = False,
     init_coefficients: Optional[np.ndarray] = None,
-) -> FitReport:
-    """Maximize the empirical gain of the data over the feature map's span.
+) -> list[FitReport]:
+    """Maximize the empirical gain of the data over the feature map's span at each scale.
 
-    Each restart runs the anneal stages above ``sigma``, then ``sigma`` itself,
-    warm-starting each stage; a restart's gain is the last entry of its final
-    stage's trace.  If every restart degenerates, they all run again down a ladder
-    from 8 sigma (8, 4 and 2 sigma merged with the anneal stages), and only that
-    pass degenerating raises.  ``init_coefficients`` replaces the ordinary-least-squares
-    anchor (warm start), or centres the box gain's search; perturbed restarts still
-    scatter around it.
+    One report per scale, in order, each bit for bit the fit at its scale alone.  At a
+    scale each restart runs the anneal stages above it, then the scale, warm-starting
+    each stage; a stage another scale ran from the same start down the same ladder is
+    not run again.  A restart's gain is the last entry of its final stage's trace.  If
+    every restart degenerates at a scale, they all run again down a ladder from 8 sigma
+    (8, 4 and 2 sigma merged with the anneal stages), and only that pass degenerating
+    raises.  ``init_coefficients`` replaces the ordinary-least-squares anchor (warm
+    start), or centres the box gain's search; perturbed restarts still scatter around it.
     """
-    if sigma <= 0:
+    if any(sigma <= 0 for sigma in sigmas):
         raise InvalidParameterError("sigma must be positive")
     if data.n == 0:
         raise InvalidInputError("cannot fit an empty dataset")
@@ -462,7 +457,6 @@ def fit_egm(
         )
     bound = default_sup_bound(y) if M is None else float(M)
 
-    stages = [s for s in sorted(cfg.anneal, reverse=True) if s > sigma]
     warm = None
     if init_coefficients is not None:
         warm = np.array(init_coefficients, dtype=float).ravel()  # a copy: fits may return it
@@ -470,16 +464,19 @@ def fit_egm(
             raise InvalidParameterError(f"{warm.shape[0]} warm-start coefficients for {p} features")
 
     if cfg.method == GRID_CONSENSUS:
-        coeffs = _grid_consensus(X, y, spec, sigma, cfg, warm)
-        gain = _mean_gain(spec, sigma, y - X @ coeffs)
-        trace, restart_gains = [gain], [gain]
-        iters, converged, rank = _CONSENSUS_SWEEPS, True, p
+        rank = p
+
+        def fit_at(sigma: float) -> tuple:
+            coeffs = _grid_consensus(X, y, spec, sigma, cfg, warm)
+            gain = _mean_gain(spec, sigma, y - X @ coeffs)
+            return gain, coeffs, [gain], [gain], _CONSENSUS_SWEEPS, True
     else:
         stage_fn = _irls_stage if cfg.method == IRLS else _gradient_stage
         # Without a ridge a rank-deficient system must stay singular, so the
         # full basis is kept; with one, the fit runs in Z = X V and maps back.
         basis = None if ridge_off else _rank_basis(X)
         Z = X if basis is None else X @ basis
+        rank = Z.shape[1]
         if warm is not None:
             full = warm
             anchor = warm if basis is None else basis.T @ warm
@@ -495,20 +492,24 @@ def fit_egm(
             noise = generator(cfg.seed, "restart", r).standard_normal(p)
             step = scale * noise / max(np.linalg.norm(noise), 1e-300)
             starts.append(anchor + (step if basis is None else basis.T @ step))
+        # (start index, ladder down to and including a stage) -> that stage's outcome
+        done: dict[tuple, tuple] = {}
 
         def run_restarts(ladder: list[float]) -> tuple[tuple, list[float]]:
             """The best restart down the ladder and each restart's gain.  A restart that
             degenerates (a wild one can leave every residual outside the support) scores
             -inf; the last such error is raised if every restart degenerates."""
             best, gains = None, []
-            for coeffs in starts:
+            for i, coeffs in enumerate(starts):
+                key, iters = (i,), 0
                 try:
-                    iters = 0
                     for stage_sigma in ladder:
-                        trace: list[float] = []
-                        coeffs, it, converged = stage_fn(
-                            Z, y, coeffs, spec, stage_sigma, cfg, trace, p
-                        )
+                        key += (stage_sigma,)
+                        if key not in done:
+                            trace: list[float] = []
+                            done[key] = (*stage_fn(Z, y, coeffs, spec, stage_sigma, cfg, trace, p),
+                                         trace)
+                        coeffs, it, converged, trace = done[key]
                         iters += it
                 except DegenerateIterateError as exc:
                     degenerate = exc
@@ -521,28 +522,26 @@ def fit_egm(
                 raise degenerate
             return best, gains
 
-        try:
-            best, restart_gains = run_restarts([*stages, sigma])
-        except DegenerateIterateError:
-            # Anneal down from a coarser scale, where the gain's loss nears least squares.
-            ladder = sorted({*stages, 8.0 * sigma, 4.0 * sigma, 2.0 * sigma}, reverse=True)
-            best, restart_gains = run_restarts([*ladder, sigma])
-        gain, coeffs, trace, iters, converged = best
-        rank = Z.shape[1]
-        if basis is not None:
-            coeffs = basis @ coeffs
-    model = HypothesisModel(feature_map=fmap, coefficients=coeffs, M=bound, clip=clip)
-    return FitReport(
-        model=model,
-        empirical_gain=gain,
-        sigma=sigma,
-        iterations=iters,
-        gain_trace=tuple(trace),
-        restart_gains=tuple(restart_gains),
-        converged=converged,
-        method=cfg.method,
-        rank=rank,
-    )
+        def fit_at(sigma: float) -> tuple:
+            stages = [s for s in sorted(cfg.anneal, reverse=True) if s > sigma]
+            try:
+                best, restart_gains = run_restarts([*stages, sigma])
+            except DegenerateIterateError:
+                # Anneal down from a coarser scale, where the gain's loss nears least squares.
+                ladder = sorted({*stages, 8.0 * sigma, 4.0 * sigma, 2.0 * sigma}, reverse=True)
+                best, restart_gains = run_restarts([*ladder, sigma])
+            gain, coeffs, trace, iters, converged = best
+            # A copy in the full basis: another scale's report may hold the same stage's result.
+            return (gain, coeffs.copy() if basis is None else basis @ coeffs, trace,
+                    restart_gains, iters, converged)
+
+    reports = []
+    for sigma in sigmas:
+        gain, coeffs, trace, restart_gains, iters, converged = fit_at(sigma)
+        model = HypothesisModel(feature_map=fmap, coefficients=coeffs, M=bound, clip=clip)
+        reports.append(FitReport(model, gain, sigma, iters, tuple(trace), tuple(restart_gains),
+                                 converged, cfg.method, rank))
+    return reports
 
 
 def schedule_exponent(variant: str, epsilon: float, q: float) -> float:

@@ -85,7 +85,7 @@ def test_bandwidth_cv_prefers_sensible_scale():
     spec = gr.catalog()["gaussian"]
 
     def fit(sub, bw):
-        return [bench._toy_fit(sub, 10.0, bw, 5, 1)]
+        return bench._toy_fit(sub, bw, (10.0,), 5, 1)
 
     best, table = solver.kfold_select(train, spec, [0.05, 0.2, 1.0], fit, 3, 5, "bw-shuffle")[0]
     assert best in (0.05, 0.2, 1.0)
@@ -133,6 +133,14 @@ def test_bench_toy_scales_share_rank_bases_without_moving_a_bit(monkeypatch):
     assert _rows(together) == _rows(alone)
     # The second scale repeats the first one's 15 (fold, bandwidth) matrices.
     assert factored.value <= separate - 15
+
+
+def test_bench_toy_rows_at_many_scales_are_each_scale_alone():
+    # One fit_scales call per split runs the four scales' shared ladder stages once.
+    args = dict(n_train=40, n_test=30, seed=2, folds=2, restarts=1)
+    sigmas = [0.05, 0.5, 2.0, 10.0]
+    alone = [row for s in sigmas for row in _rows(bench_toy(sigmas=[s], **args))]
+    assert _rows(bench_toy(sigmas=sigmas, **args)) == alone
 
 
 def _cpus(monkeypatch, cpus):
@@ -231,14 +239,14 @@ def test_a_worker_that_dies_is_an_error_not_a_wait(monkeypatch):
     # with an error instead of waiting for it.
     _cpus(monkeypatch, {0, 1})
     parent = os.getpid()
-    fit_egm = bench.fit_egm
+    fit_scales = bench.fit_scales
 
     def dying_fit(*args, **kwargs):
         if os.getpid() != parent:
             os._exit(9)
-        return fit_egm(*args, **kwargs)
+        return fit_scales(*args, **kwargs)
 
-    monkeypatch.setattr(bench, "fit_egm", dying_fit)
+    monkeypatch.setattr(bench, "fit_scales", dying_fit)
     with pytest.raises(gr.GainRegError, match="worker process ended"):
         bench_toy(**TOY)
     assert multiprocessing.active_children() == []

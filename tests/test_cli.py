@@ -634,14 +634,14 @@ def test_bench_toy_error_in_a_worker_keeps_its_exit_code(tmp_path, monkeypatch, 
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
     parent = os.getpid()
-    fit_egm = bench.fit_egm
+    fit_scales = bench.fit_scales
 
     def failing_fit(*args, **kwargs):
         if os.getpid() != parent:
             raise error("raised in a worker")
-        return fit_egm(*args, **kwargs)
+        return fit_scales(*args, **kwargs)
 
-    monkeypatch.setattr(bench, "fit_egm", failing_fit)
+    monkeypatch.setattr(bench, "fit_scales", failing_fit)
     assert run("bench", "toy", "--n-train", "30", "--n-test", "20", "--sigmas", "10",
                "--folds", "3", "--restarts", "1", "--out", str(tmp_path / "toy.csv")) == code
     err = capfd.readouterr().err

@@ -1,4 +1,4 @@
-"""Hypothesis fuzzing of the CSV loader and of CLI flag values.
+"""Hypothesis fuzzing of the CSV loader, of CLI flag values and of multi-scale fits.
 
 Outside input may end in any exit code of the contract (0 success, 1 usage,
 2 runtime, 3 certification) but never in an exception; pytest turns a
@@ -13,13 +13,16 @@ import io
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gainreg as gr
 from gainreg.cli import dataset_from_csv, main
-from gainreg.errors import InvalidInputError
+from gainreg.errors import DegenerateIterateError, InvalidInputError
 from gainreg.simulate import Dataset
+from gainreg.solver import fit_scales
 
 CODES = {0, 1, 2, 3}
 
@@ -301,3 +304,44 @@ def test_bench_rates_flag_values_keep_the_exit_codes(workdir, draws, gain, sched
     argv = _argv(["bench", "rates", "--gain", gain, "--schedule", schedule,
                   "--out", str(workdir / "rates.csv")], draws)
     assert main(argv) in CODES
+
+
+HALVINGS = [8.0 * 0.5**k for k in range(10)]
+
+
+@settings(max_examples=30)
+@given(sigmas=st.lists(st.sampled_from(HALVINGS), min_size=1, max_size=5),
+       anneal=st.lists(st.sampled_from(HALVINGS), max_size=6, unique=True),
+       gain=st.sampled_from(["gaussian", "tricube", "uniform"]),
+       restarts=st.integers(min_value=1, max_value=3),
+       seed=st.integers(min_value=0, max_value=2**31))
+def test_fit_scales_equals_a_fit_at_each_scale_alone(sigmas, anneal, gain, restarts, seed):
+    # gaussian fits by reweighting, tricube by gradient ascent, uniform by the box search.
+    noise = gr.NoiseSpec.contaminated(gr.NoiseSpec.gaussian(0.0, 1.0), 0.1, (-20.0, 20.0))
+    data = gr.gen_location(40, "linear:2:1", noise, seed=seed)
+    spec, fmap = gr.catalog()[gain], gr.linear_map(1)
+    cfg = gr.default_config(spec, max_iters=30, restarts=restarts, seed=seed,
+                            anneal=tuple(anneal))
+
+    def summary(report):
+        return (report.model.coefficients.tobytes(), report.empirical_gain, report.sigma,
+                report.gain_trace, report.restart_gains, report.iterations,
+                report.converged, report.rank)
+
+    def outcome(fit, scales):
+        try:
+            return fit(data, spec, scales, fmap, cfg)
+        except DegenerateIterateError as exc:  # a tiny scale can leave every residual outside
+            return str(exc)
+
+    alone = [outcome(gr.fit_egm, s) for s in sigmas]
+    together = outcome(fit_scales, sigmas)
+    errors = [o for o in alone if isinstance(o, str)]
+    if errors:  # the call raises the first scale's error
+        assert together == errors[0]
+    else:
+        assert [summary(r) for r in together] == [summary(r) for r in alone]
+        # A repeated scale's reports are equal, not one array: writing to one moves no other.
+        coefficients = [r.model.coefficients for r in together]
+        assert not any(np.shares_memory(a, b) for i, a in enumerate(coefficients)
+                       for b in coefficients[i + 1:])

@@ -1,6 +1,5 @@
 """Fitting behavior: exact recoveries, ascent guarantees, schedules, CV."""
 
-import threading
 import tracemalloc
 from dataclasses import replace
 
@@ -440,6 +439,19 @@ def test_degenerate_fits_anneal_from_a_coarser_scale(cat, name):
     assert 1.5 < slope < 3.5 and 0.3 < intercept < 1.5
 
 
+def test_fit_scales_retries_a_degenerate_scale_from_8_sigma_on_its_own(monkeypatch, cat):
+    # Every restart degenerates at sigma, not at 10 sigma; only sigma anneals from 8 sigma.
+    data, sigma, seed = _seed_24_round_5()
+    spec, fmap = cat["triweight"], gr.linear_map(1)
+    cfg = gr.default_config(spec, restarts=3, seed=seed)
+    alone = [gr.fit_egm(data, spec, s, fmap, cfg) for s in (sigma, 10.0 * sigma)]
+    stages = _counted_stages(monkeypatch)
+    reports = solver.fit_scales(data, spec, (sigma, 10.0 * sigma), fmap, cfg)
+    assert [_summary(r) for r in reports] == [_summary(r) for r in alone]
+    assert stages == [sigma] * 3 + [8.0 * sigma, 4.0 * sigma, 2.0 * sigma, sigma] * 3 \
+        + [10.0 * sigma] * 3
+
+
 def test_a_gradient_stage_outside_a_compact_support_is_degenerate(cat):
     data = linear_data(n=30, seed=71)
     X = np.column_stack([data.inputs[:, 0], np.ones(data.n)])
@@ -675,15 +687,11 @@ def test_rank_basis_matches_full_basis_solves(cat):
     assert rel(X @ report.model.coefficients, X @ one_step) <= 1e-8
 
 
-def _counted_factorizations(monkeypatch, before=None) -> list:
-    """Record (name, matrix) for every SVD and eigh from here on; start with no basis
-    remembered.  ``before(A)``, if given, runs ahead of each factorization."""
-    monkeypatch.setattr(solver, "_last_basis", (None, None))
+def _counted_factorizations(monkeypatch) -> list:
+    """Record (name, matrix) for every SVD and eigh from here on."""
     seen = []
     for name in ("svd", "eigh"):
         def counted(A, *args, _name=name, _factor=getattr(np.linalg, name), **kwargs):
-            if before is not None:
-                before(A)
             seen.append((_name, A))
             return _factor(A, *args, **kwargs)
 
@@ -691,61 +699,44 @@ def _counted_factorizations(monkeypatch, before=None) -> list:
     return seen
 
 
-def test_a_fit_of_the_matrix_just_factored_takes_no_svd(monkeypatch, cat):
+def _counted_stages(monkeypatch) -> list:
+    """Record the scale of every reweighting and gradient stage from here on."""
+    seen = []
+    for name in ("_irls_stage", "_gradient_stage"):
+        def counted(X, y, coeffs, spec, sigma, *args, _stage=getattr(solver, name)):
+            seen.append(sigma)
+            return _stage(X, y, coeffs, spec, sigma, *args)
+
+        monkeypatch.setattr(solver, name, counted)
+    return seen
+
+
+def _summary(report):
+    return (report.model.coefficients.tobytes(), report.empirical_gain, report.sigma,
+            report.gain_trace, report.restart_gains, report.iterations, report.converged,
+            report.method, report.rank)
+
+
+@pytest.mark.parametrize("method", ["irls", "gradient"])
+def test_fit_scales_factors_once_and_runs_each_shared_stage_once(monkeypatch, cat, method):
+    # The ladders halve down from 8, so the smaller scales' ladders hold the larger ones':
+    # 9 + 1 + 1 distinct stages per restart, where the five fits alone run 3+9+5+1+6.
     data = kernel_data()
     fmap = gr.kernel_map(data.inputs, 1.0)
-    cfg = gr.SolverConfig(method="irls", max_iters=20, restarts=2)
+    sigmas = [2.0, 0.05, 0.5, 10.0, 0.3]
+    cfg = gr.SolverConfig(method=method, max_iters=20, restarts=2,
+                          anneal=tuple(8.0 * 0.5**k for k in range(8)))
+    alone = [gr.fit_egm(data, cat["gaussian"], sigma, fmap, cfg) for sigma in sigmas]
     factored = _counted_factorizations(monkeypatch)
-    first = gr.fit_egm(data, cat["gaussian"], 0.5, fmap, cfg)
-    assert len(factored) == 1 and first.rank < fmap.feature_count
-    again = gr.fit_egm(data, cat["gaussian"], 0.5, fmap, cfg)
-    assert len(factored) == 1
-    assert again.model.coefficients.tobytes() == first.model.coefficients.tobytes()
-    assert (again.empirical_gain, again.gain_trace, again.restart_gains, again.iterations,
-            again.converged, again.rank) == (first.empirical_gain, first.gain_trace,
-                                             first.restart_gains, first.iterations,
-                                             first.converged, first.rank)
-
-
-def test_rank_basis_is_remembered_for_the_same_bytes_and_shape_only(monkeypatch):
-    data = kernel_data()
-    X = gr.design_matrix(gr.kernel_map(data.inputs[:40], 1.0), data.inputs)  # 160 x 40
-    factored = _counted_factorizations(monkeypatch)
-    basis = solver._rank_basis(X)
-    assert solver._rank_basis(X.copy()) is basis and len(factored) == 1
-    # The stored basis is shared by later fits, so nobody may write to it.
-    assert basis is not None and not basis.flags.writeable
-    with pytest.raises(ValueError):
-        basis[0, 0] = 0.0
-    # The same bytes as a 40 x 160 matrix, then X one ulp off in one cell.
-    solver._rank_basis(X.reshape(40, 160))
-    off = X.copy()
-    off[7, 3] = np.nextafter(off[7, 3], np.inf)
-    solver._rank_basis(off)
-    assert [A.shape for _, A in factored] == [(160, 40), (40, 160), (160, 40)]
-    assert factored[2][1] is off
-
-
-def test_rank_basis_survives_another_thread_replacing_it(monkeypatch):
-    # Another thread factors a second matrix while this one computes a basis, so the
-    # remembered pair changes between the lookup and the store; the right basis
-    # still comes back, and the store that ends last is the one remembered.
-    data = kernel_data()
-    X = gr.design_matrix(gr.kernel_map(data.inputs, 1.0), data.inputs)
-    Y = gr.design_matrix(gr.kernel_map(data.inputs, 0.2), data.inputs)
-    expected = solver._rank_basis(X)
-
-    def other_thread_meanwhile(A):
-        if A is X:
-            other = threading.Thread(target=solver._rank_basis, args=(Y,))
-            other.start()
-            other.join()
-
-    factored = _counted_factorizations(monkeypatch, other_thread_meanwhile)
-    basis = solver._rank_basis(X)
-    assert len(factored) == 2 and factored[0][1] is Y and factored[1][1] is X
-    assert basis is not None and np.array_equal(basis, expected)
-    assert solver._last_basis[1] is basis
+    stages = _counted_stages(monkeypatch)
+    reports = solver.fit_scales(data, cat["gaussian"], sigmas, fmap, cfg)
+    assert len(factored) == 1 and reports[0].rank < fmap.feature_count
+    assert len(stages) == 2 * 11
+    assert [_summary(r) for r in reports] == [_summary(r) for r in alone]
+    stages.clear()
+    for sigma in sigmas:
+        gr.fit_egm(data, cat["gaussian"], sigma, fmap, cfg)
+    assert len(stages) == 2 * 24
 
 
 @pytest.mark.parametrize("bandwidth", [0.05, 0.2, 1.0])
@@ -764,7 +755,7 @@ def test_symmetric_dictionary_eigh_basis_spans_the_svd_basis(monkeypatch, bandwi
     basis = solver._rank_basis(X)
     assert [name for name, _ in factored] == ["eigh"]
     assert basis is not None and basis.shape == (X.shape[1], r) and r < X.shape[1]
-    assert basis.flags.f_contiguous and not basis.flags.writeable
+    assert basis.flags.f_contiguous
     projected = X @ basis @ basis.T
     assert np.max(np.abs(projected - X @ vt[:r].T @ vt[:r])) <= 1e-10
     assert np.max(np.abs(projected - X)) <= 1e-10
