@@ -27,6 +27,7 @@ from .rng import derive_key, generator
 from .simulate import Dataset, NoiseSpec, gen_location, gen_toy, toy_references, truth_function
 from .solver import (
     FitReport,
+    best_candidate,
     default_config,
     fit_egm,
     fit_scales,
@@ -113,8 +114,9 @@ def bench_toy(
 
     Every scale's bandwidth cross-validation splits the same training set the
     same way, so one task fits a (bandwidth, fold) split at every scale in one
-    ``fit_scales`` call.  The split tasks, then one final fit per (scale,
-    bandwidth) task, run through ``_worker_map``, sized by the split tasks.
+    ``fit_scales`` call, and each scale's bandwidth is ``best_candidate`` of its
+    column of the held-out table.  The split tasks, then one final fit per
+    (scale, bandwidth) task, run through ``_worker_map``, sized by the split tasks.
     """
     train = gen_toy(n_train, seed)
     test = gen_toy(n_test, seed + 1)
@@ -123,11 +125,12 @@ def bench_toy(
     if not scales:
         raise InvalidParameterError("the toy benchmark needs at least one scale")
     with _worker_map(len(TOY_BANDWIDTH_GRID) * folds) as mapper:
-        choices = kfold_select(train, spec, TOY_BANDWIDTH_GRID,
-                               partial(_toy_fit, sigmas=scales, seed=seed, restarts=1), folds,
-                               seed, "bw-shuffle", mapper)
+        table = kfold_select(train, spec, TOY_BANDWIDTH_GRID,
+                             partial(_toy_fit, sigmas=scales, seed=seed, restarts=1), folds,
+                             seed, "bw-shuffle", mapper)
+        bandwidths = [best_candidate(TOY_BANDWIDTH_GRID, column) for column in zip(*table)]
         final = partial(_final_fit, train, test, seed=seed, restarts=restarts)
-        return mapper(final, scales, [bw for bw, _ in choices])
+        return mapper(final, scales, bandwidths)
 
 
 # Mapped, as ``_toy_fit`` is: module-level, so it pickles by name, and looks up

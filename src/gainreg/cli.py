@@ -1,7 +1,7 @@
 """Batch command-line interface.
 
 Subcommands: ``catalog``, ``eval``, ``certify``, ``simulate``, ``fit``,
-``bench toy``, ``bench rates``.  Exit codes are a stable contract:
+``predict``, ``bench toy``, ``bench rates``.  Exit codes are a stable contract:
 0 success, 1 usage error, 2 runtime or precision failure, 3 certification
 failure.  Every run with a seed is deterministic down to output bytes on
 one BLAS configuration (library, version, thread count); floats are written

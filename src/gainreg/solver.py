@@ -398,6 +398,15 @@ def _methods(spec: GainSpec) -> tuple[str, ...]:
     return (GRADIENT,)
 
 
+def _halving_ladder(stages: list[float], top: float, sigma: float) -> list[float]:
+    """The anneal stages merged with top, top/2, ... above sigma, then sigma."""
+    rungs = set(stages)
+    while top > sigma:
+        rungs.add(top)
+        top *= 0.5
+    return [*sorted(rungs, reverse=True), sigma]
+
+
 def default_config(spec: GainSpec, **overrides) -> SolverConfig:
     """A config with the gain's default method."""
     return SolverConfig(method=_methods(spec)[0], **overrides)
@@ -428,9 +437,12 @@ def fit_scales(
     each stage; a stage another scale ran from the same start down the same ladder is
     not run again.  A restart's gain is the last entry of its final stage's trace.  If
     every restart degenerates at a scale, they all run again down a ladder from 8 sigma
-    (8, 4 and 2 sigma merged with the anneal stages), and only that pass degenerating
-    raises.  ``init_coefficients`` replaces the ordinary-least-squares anchor (warm
-    start), or centres the box gain's search; perturbed restarts still scatter around it.
+    (8, 4 and 2 sigma merged with the anneal stages).  If that pass degenerates too and
+    the gain's support is bounded, they run once more down a halving ladder from the
+    first 2^k sigma (k >= 4) whose support holds every anchor residual; only the last
+    pass degenerating raises.  ``init_coefficients`` replaces the ordinary-least-squares
+    anchor (warm start), or centres the box gain's search; perturbed restarts still
+    scatter around it.
     """
     if any(sigma <= 0 for sigma in sigmas):
         raise InvalidParameterError("sigma must be positive")
@@ -528,8 +540,19 @@ def fit_scales(
                 best, restart_gains = run_restarts([*stages, sigma])
             except DegenerateIterateError:
                 # Anneal down from a coarser scale, where the gain's loss nears least squares.
-                ladder = sorted({*stages, 8.0 * sigma, 4.0 * sigma, 2.0 * sigma}, reverse=True)
-                best, restart_gains = run_restarts([*ladder, sigma])
+                try:
+                    best, restart_gains = run_restarts(_halving_ladder(stages, 8.0 * sigma, sigma))
+                except DegenerateIterateError:
+                    # Coarser still: the first 2^k sigma (k >= 4) whose support holds every
+                    # anchor residual, so the anchor's first stage has a gradient and weights.
+                    with np.errstate(over="ignore", invalid="ignore"):
+                        far = float(np.max(np.abs(y - Z @ anchor)))
+                    top = 16.0 * sigma
+                    while not far < spec.support_radius * top and top < math.inf:
+                        top *= 2.0
+                    if not (math.isfinite(spec.support_radius) and top < math.inf):
+                        raise
+                    best, restart_gains = run_restarts(_halving_ladder(stages, top, sigma))
             gain, coeffs, trace, iters, converged = best
             # A copy in the full basis: another scale's report may hold the same stage's result.
             return (gain, coeffs.copy() if basis is None else basis @ coeffs, trace,
@@ -577,23 +600,28 @@ def _subset(data: Dataset, idx: np.ndarray) -> Dataset:
     return replace(data, inputs=data.inputs[idx], outputs=data.outputs[idx])
 
 
+def best_candidate(candidates: Sequence[float], scores: Sequence[float]) -> float:
+    """The candidate with the best score; ties go to the larger candidate."""
+    return max(zip(scores, candidates))[1]
+
+
 def kfold_select(
     data: Dataset,
     spec: GainSpec,
-    candidates: Sequence[float],
-    fit: Callable[[Dataset, float], Sequence[FitReport]],
+    candidates: Sequence,
+    fit: Callable[[Dataset, object], Sequence[FitReport]],
     folds: int,
     seed: int,
     stream: str,
     mapper: Callable = map,
-) -> list[tuple[float, list[tuple[float, float]]]]:
-    """K-fold choice among candidates by mean held-out gain; ties go to the larger one.
+) -> list[list[float]]:
+    """K-fold mean held-out gains: one row per candidate, one column per report scale.
 
     ``fit(train, candidate)`` fits a training split and returns one report per
-    scale; each scale's held-out split is scored here at its report's own scale,
-    and each scale gets its own (best candidate, table).  Folds deal a
-    ``stream``-keyed shuffle round-robin.  ``mapper``, with the builtin ``map``'s
-    contract, runs ``fit`` over the (train split, candidate) pairs.
+    scale; each held-out split is scored at its report's own scale, and each
+    cell is the mean of its scores over the folds.  Folds deal a
+    ``stream``-keyed shuffle round-robin.  ``mapper``, with the builtin
+    ``map``'s contract, runs ``fit`` over the (train split, candidate) pairs.
     """
     if folds < 2:
         raise InvalidParameterError("cross-validation needs at least 2 folds")
@@ -601,8 +629,6 @@ def kfold_select(
         raise InvalidParameterError(
             f"{folds} folds for {data.n} observations: every fold needs one to hold out"
         )
-    if not candidates:
-        raise InvalidParameterError("cross-validation needs a non-empty candidate grid")
     order = generator(seed, stream).permutation(data.n)
     trains, helds = [], []
     for k in range(folds):
@@ -613,14 +639,8 @@ def kfold_select(
     reports = mapper(fit, trains * len(candidates), [c for c in candidates for _ in trains])
     scores = [[empirical_gain(r.model, held, spec, r.sigma) for r in split]
               for split, held in zip(reports, helds * len(candidates))]
-    by_candidate = [scores[i * folds:(i + 1) * folds] for i in range(len(candidates))]
-    choices = []
-    for scale in range(len(scores[0])):
-        table = [(candidate, float(np.mean([fold[scale] for fold in rows])))
-                 for candidate, rows in zip(candidates, by_candidate)]
-        best = max(table, key=lambda row: (row[1], row[0]))  # best score, then larger candidate
-        choices.append((best[0], table))
-    return choices
+    return [[float(np.mean(column)) for column in zip(*scores[i * folds:(i + 1) * folds])]
+            for i in range(len(candidates))]
 
 
 def cross_validate_sigma(
@@ -632,12 +652,17 @@ def cross_validate_sigma(
     folds: int = 5,
     seed: int = 0,
 ) -> tuple[float, list[tuple[float, float]]]:
-    """Pick the scale with the best mean held-out gain; ties go to larger sigma."""
+    """The scale ``best_candidate`` picks by mean held-out gain, and the (sigma, gain)
+    table.  The grid is ``kfold_select``'s one candidate: one ``fit_scales`` call per
+    fold fits its training split at every scale."""
     grid = [float(s) for s in sigma_grid]
     if any(s <= 0 for s in grid):
         raise InvalidParameterError("sigma grid must be positive")
+    if not grid:
+        raise InvalidParameterError("cross-validation needs a non-empty candidate grid")
 
-    def fit(train: Dataset, sigma: float) -> list[FitReport]:
-        return [fit_egm(train, spec, sigma, fmap, cfg)]
+    def fit(train: Dataset, scales: list[float]) -> list[FitReport]:
+        return fit_scales(train, spec, scales, fmap, cfg)
 
-    return kfold_select(data, spec, grid, fit, folds, seed, "cv-shuffle")[0]
+    (row,) = kfold_select(data, spec, [grid], fit, folds, seed, "cv-shuffle")
+    return best_candidate(grid, row), list(zip(grid, row))

@@ -87,7 +87,11 @@ def test_bandwidth_cv_prefers_sensible_scale():
     def fit(sub, bw):
         return bench._toy_fit(sub, bw, (10.0,), 5, 1)
 
-    best, table = solver.kfold_select(train, spec, [0.05, 0.2, 1.0], fit, 3, 5, "bw-shuffle")[0]
+    bandwidths = [0.05, 0.2, 1.0]
+    held_out = solver.kfold_select(train, spec, bandwidths, fit, 3, 5, "bw-shuffle")
+    assert [len(row) for row in held_out] == [1, 1, 1]  # one column: the one scale
+    (column,) = zip(*held_out)
+    best, table = solver.best_candidate(bandwidths, column), list(zip(bandwidths, column))
     assert best in (0.05, 0.2, 1.0)
     assert len(table) == 3
     # Wider kernels should beat near-interpolation for the smooth mean fit.

@@ -1,4 +1,4 @@
-"""Hypothesis fuzzing of the CSV loader, of CLI flag values and of multi-scale fits.
+"""Hypothesis fuzzing of the CSV loader, CLI flag values, multi-scale fits and sigma CV.
 
 Outside input may end in any exit code of the contract (0 success, 1 usage,
 2 runtime, 3 certification) but never in an exception; pytest turns a
@@ -15,14 +15,15 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import gainreg as gr
 from gainreg.cli import dataset_from_csv, main
 from gainreg.errors import DegenerateIterateError, InvalidInputError
+from gainreg.rng import generator
 from gainreg.simulate import Dataset
-from gainreg.solver import fit_scales
+from gainreg.solver import _subset, fit_scales
 
 CODES = {0, 1, 2, 3}
 
@@ -345,3 +346,41 @@ def test_fit_scales_equals_a_fit_at_each_scale_alone(sigmas, anneal, gain, resta
         coefficients = [r.model.coefficients for r in together]
         assert not any(np.shares_memory(a, b) for i, a in enumerate(coefficients)
                        for b in coefficients[i + 1:])
+
+
+@settings(max_examples=25)
+@given(grid=st.lists(st.sampled_from([0.125, 0.25, 0.5, 1.0, 2.0]), min_size=1, max_size=4),
+       anneal=st.sampled_from([(), (8.0, 4.0), (4.0, 1.0, 0.25)]),
+       gain=st.sampled_from(["gaussian", "tricube", "uniform"]),
+       folds=st.integers(min_value=2, max_value=4),
+       seed=st.integers(min_value=0, max_value=2**31))
+@example(grid=[1.0, 0.25, 1.0], anneal=(), gain="gaussian", folds=3, seed=0)
+@example(grid=[0.5, 0.5], anneal=(8.0, 4.0), gain="tricube", folds=2, seed=1)
+@example(grid=[2.0, 0.25, 2.0], anneal=(4.0, 1.0, 0.25), gain="uniform", folds=4, seed=2)
+def test_cross_validate_sigma_equals_a_fit_per_fold_and_scale(grid, anneal, gain, folds, seed):
+    # One fit_scales call per fold gives the table that one fit_egm per (fold, sigma) gives.
+    noise = gr.NoiseSpec.contaminated(gr.NoiseSpec.gaussian(0.0, 1.0), 0.1, (-20.0, 20.0))
+    data = gr.gen_location(40, "linear:2:1", noise, seed=seed)
+    spec, fmap = gr.catalog()[gain], gr.linear_map(1)
+    cfg = gr.default_config(spec, max_iters=30, restarts=2, seed=seed, anneal=anneal)
+    order = generator(seed, "cv-shuffle").permutation(data.n)
+    scores, error = [[] for _ in grid], None
+    for k in range(folds):  # fold by fold, as the routine fits them
+        held = order[k::folds]
+        train = _subset(data, np.setdiff1d(np.arange(data.n), held))
+        for column, sigma in zip(scores, grid):
+            try:
+                report = gr.fit_egm(train, spec, sigma, fmap, cfg)
+            except DegenerateIterateError as exc:
+                error = error or str(exc)
+                continue
+            column.append(gr.empirical_gain(report.model, _subset(data, held), spec, sigma))
+    try:
+        best, table = gr.cross_validate_sigma(data, spec, grid, fmap, cfg, folds, seed)
+    except DegenerateIterateError as exc:  # the first (fold, sigma) pair's error
+        assert str(exc) == error
+        return
+    assert error is None
+    expected = [(sigma, float(np.mean(column))) for sigma, column in zip(grid, scores)]
+    assert table == expected
+    assert best == max(expected, key=lambda row: (row[1], row[0]))[0]

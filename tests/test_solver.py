@@ -315,6 +315,32 @@ def test_cross_validation_routines_share_one_kfold_core(cat, monkeypatch):
         gr.cross_validate_sigma(data, cat["gaussian"], [], gr.linear_map(1), cfg, 3)
 
 
+def test_cross_validate_sigma_fits_each_fold_once_at_every_scale(cat, monkeypatch):
+    data = linear_data(n=40, seed=53)
+    cfg = gr.SolverConfig(method="irls", restarts=2, anneal=(8.0, 4.0))
+    calls = []
+    real = solver.fit_scales
+
+    def spy(train, spec, sigmas, *args):
+        calls.append(list(sigmas))
+        return real(train, spec, sigmas, *args)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("cross_validate_sigma fitted one scale at a time")
+
+    monkeypatch.setattr(solver, "fit_scales", spy)
+    monkeypatch.setattr(solver, "fit_egm", refused)
+    grid = [0.5, 1.0, 2.0, 1.0]
+    gr.cross_validate_sigma(data, cat["gaussian"], grid, gr.linear_map(1), cfg, 4, seed=2)
+    assert calls == [grid] * 4
+
+
+def test_best_candidate_takes_the_best_score_then_the_larger_candidate():
+    assert solver.best_candidate([0.5, 1.0, 2.0], [0.3, 0.9, 0.1]) == 1.0
+    assert solver.best_candidate([0.5, 2.0, 1.0], [0.9, 0.9, 0.9]) == 2.0
+    assert solver.best_candidate([3.0, 3.0], [0.2, 0.2]) == 3.0
+
+
 def test_grid_consensus_recovers_majority_line(cat):
     rng = np.random.default_rng(60)
     n = 120
@@ -411,8 +437,11 @@ def test_grid_consensus_fits_the_box_its_spec_gives(cat):
 def test_degenerate_weights_error_names_sigma(cat):
     data = linear_data(n=30, noise=1.0, seed=70)
     cfg = gr.SolverConfig(method="irls", restarts=1)
-    with pytest.raises(DegenerateIterateError, match="sigma"):
-        gr.fit_egm(data, cat["triweight"], 1e-4, gr.linear_map(1), cfg)
+    # The gaussian's support is unbounded, so no pass starts where every residual is inside.
+    with pytest.raises(DegenerateIterateError, match="sigma = 0.0008"):
+        gr.fit_egm(data, cat["gaussian"], 1e-4, gr.linear_map(1), cfg)
+    # The triweight's is bounded: the last pass anneals down from above the widest residual.
+    assert gr.fit_egm(data, cat["triweight"], 1e-4, gr.linear_map(1), cfg).empirical_gain > 0.0
 
 
 def _seed_24_round_5():
@@ -450,6 +479,22 @@ def test_fit_scales_retries_a_degenerate_scale_from_8_sigma_on_its_own(monkeypat
     assert [_summary(r) for r in reports] == [_summary(r) for r in alone]
     assert stages == [sigma] * 3 + [8.0 * sigma, 4.0 * sigma, 2.0 * sigma, sigma] * 3 \
         + [10.0 * sigma] * 3
+
+
+def test_a_scale_whose_8_sigma_retry_degenerates_anneals_from_above_the_widest_residual(
+    monkeypatch, cat
+):
+    # The tricube's support is |r| < sigma.  At sigma = 1/16 and at 8 sigma the first stage
+    # has no residual inside it, so both passes degenerate; the least-squares anchor's
+    # widest residual, 17.3, lies inside 512 sigma = 32 and not inside 256 sigma.
+    noise = gr.NoiseSpec.contaminated(gr.NoiseSpec.gaussian(0.0, 1.0), 0.1, (-20.0, 20.0))
+    data = gr.gen_location(40, "linear:2:1", noise, seed=47)
+    spec, sigma = cat["tricube"], 1.0 / 16.0
+    cfg = gr.default_config(spec, max_iters=30, restarts=1, seed=47)
+    stages = _counted_stages(monkeypatch)
+    report = gr.fit_egm(data, spec, sigma, gr.linear_map(1), cfg)
+    assert report.empirical_gain > 0.0 and report.sigma == sigma
+    assert stages == [sigma, 8.0 * sigma] + [2.0**k * sigma for k in range(9, -1, -1)]
 
 
 def test_a_gradient_stage_outside_a_compact_support_is_degenerate(cat):
