@@ -31,6 +31,7 @@ from .solver import (
     default_config,
     fit_egm,
     fit_scales,
+    halving_ladder,
     kfold_select,
     predict_batch,
     schedule_exponent,
@@ -42,18 +43,6 @@ ANNEAL_START = 8.0
 MC_POINTS = 10_000
 
 
-def anneal_ladder(sigma: float) -> tuple[float, ...]:
-    """Halving chain of scales from ``ANNEAL_START`` down to (but above) ``sigma``."""
-    if not sigma > 0:  # the halving chain would never end
-        raise InvalidParameterError(f"sigma must be positive, got {sigma}")
-    stages = []
-    s = ANNEAL_START
-    while s > sigma:
-        stages.append(s)
-        s *= 0.5
-    return tuple(stages)
-
-
 def _toy_fit(
     data: Dataset, bandwidth: float, sigmas: Sequence[float], seed: int, restarts: int
 ) -> list[FitReport]:
@@ -62,7 +51,7 @@ def _toy_fit(
     spec = catalog()["gaussian"]
     fmap = kernel_map(subsample_centers(data.inputs, DEFAULT_CENTER_CAP, seed), bandwidth)
     cfg = default_config(spec, max_iters=60, tol=1e-8, restarts=restarts, seed=seed,
-                         anneal=anneal_ladder(min(sigmas)))
+                         anneal=halving_ladder(ANNEAL_START, min(sigmas)))
     return fit_scales(data, spec, sigmas, fmap, cfg)
 
 

@@ -398,13 +398,15 @@ def _methods(spec: GainSpec) -> tuple[str, ...]:
     return (GRADIENT,)
 
 
-def _halving_ladder(stages: list[float], top: float, sigma: float) -> list[float]:
-    """The anneal stages merged with top, top/2, ... above sigma, then sigma."""
+def halving_ladder(top: float, sigma: float, stages: Sequence[float] = ()) -> tuple[float, ...]:
+    """The rungs top, top/2, ... above ``sigma``, merged with ``stages``, in descending order."""
+    if not sigma > 0:  # the halving chain would never end
+        raise InvalidParameterError(f"sigma must be positive, got {sigma}")
     rungs = set(stages)
     while top > sigma:
         rungs.add(top)
         top *= 0.5
-    return [*sorted(rungs, reverse=True), sigma]
+    return tuple(sorted(rungs, reverse=True))
 
 
 def default_config(spec: GainSpec, **overrides) -> SolverConfig:
@@ -474,6 +476,8 @@ def fit_scales(
         warm = np.array(init_coefficients, dtype=float).ravel()  # a copy: fits may return it
         if warm.shape[0] != p:
             raise InvalidParameterError(f"{warm.shape[0]} warm-start coefficients for {p} features")
+        if not np.all(np.isfinite(warm)):
+            raise InvalidParameterError("warm-start coefficients must be finite")
 
     if cfg.method == GRID_CONSENSUS:
         rank = p
@@ -507,15 +511,15 @@ def fit_scales(
         # (start index, ladder down to and including a stage) -> that stage's outcome
         done: dict[tuple, tuple] = {}
 
-        def run_restarts(ladder: list[float]) -> tuple[tuple, list[float]]:
-            """The best restart down the ladder and each restart's gain.  A restart that
+        def run_restarts(stages: Sequence[float], sigma: float) -> tuple[tuple, list[float]]:
+            """The best restart down the stages to sigma, and each restart's gain.  A restart that
             degenerates (a wild one can leave every residual outside the support) scores
             -inf; the last such error is raised if every restart degenerates."""
             best, gains = None, []
             for i, coeffs in enumerate(starts):
                 key, iters = (i,), 0
                 try:
-                    for stage_sigma in ladder:
+                    for stage_sigma in (*stages, sigma):
                         key += (stage_sigma,)
                         if key not in done:
                             trace: list[float] = []
@@ -537,11 +541,12 @@ def fit_scales(
         def fit_at(sigma: float) -> tuple:
             stages = [s for s in sorted(cfg.anneal, reverse=True) if s > sigma]
             try:
-                best, restart_gains = run_restarts([*stages, sigma])
+                best, restart_gains = run_restarts(stages, sigma)
             except DegenerateIterateError:
                 # Anneal down from a coarser scale, where the gain's loss nears least squares.
                 try:
-                    best, restart_gains = run_restarts(_halving_ladder(stages, 8.0 * sigma, sigma))
+                    best, restart_gains = run_restarts(halving_ladder(8.0 * sigma, sigma, stages),
+                                                       sigma)
                 except DegenerateIterateError:
                     # Coarser still: the first 2^k sigma (k >= 4) whose support holds every
                     # anchor residual, so the anchor's first stage has a gradient and weights.
@@ -552,7 +557,7 @@ def fit_scales(
                         top *= 2.0
                     if not (math.isfinite(spec.support_radius) and top < math.inf):
                         raise
-                    best, restart_gains = run_restarts(_halving_ladder(stages, top, sigma))
+                    best, restart_gains = run_restarts(halving_ladder(top, sigma, stages), sigma)
             gain, coeffs, trace, iters, converged = best
             # A copy in the full basis: another scale's report may hold the same stage's result.
             return (gain, coeffs.copy() if basis is None else basis @ coeffs, trace,

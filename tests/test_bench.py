@@ -12,18 +12,19 @@ import pytest
 
 import gainreg as gr
 from gainreg import bench, solver
-from gainreg.bench import anneal_ladder, bench_rates, bench_toy
+from gainreg.bench import ANNEAL_START, bench_rates, bench_toy
+from gainreg.solver import halving_ladder
 
 
-def test_anneal_ladder():
-    assert anneal_ladder(10.0) == ()
-    assert anneal_ladder(0.6) == (8.0, 4.0, 2.0, 1.0)
-    ladder = anneal_ladder(0.05)
+def test_halving_ladder():
+    assert halving_ladder(ANNEAL_START, 10.0) == ()
+    assert halving_ladder(ANNEAL_START, 0.6) == (8.0, 4.0, 2.0, 1.0)
+    ladder = halving_ladder(ANNEAL_START, 0.05)
     assert ladder[0] == 8.0 and all(a > b for a, b in zip(ladder, ladder[1:]))
     assert ladder[-1] > 0.05
     for sigma in (0.0, -1.0):  # a halving chain never reaches them
         with pytest.raises(gr.InvalidParameterError):
-            anneal_ladder(sigma)
+            halving_ladder(ANNEAL_START, sigma)
 
 
 def test_rates_need_a_repetition():

@@ -525,6 +525,17 @@ def test_the_box_gain_honours_a_warm_start(cat):
         gr.fit_egm(data, spec, sigma, fmap, init_coefficients=[1.0, 2.0, 3.0])
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bad", [np.inf, np.nan], ids=["inf", "nan"])
+@pytest.mark.parametrize("name", ["gaussian", "tricube", "uniform"])
+def test_a_non_finite_warm_start_is_refused_by_name(cat, name, bad):
+    # It used to reach the gain as a residual range error that did not name the warm
+    # start, and the box gain's search warned on inf + finite first.
+    data = gr.gen_location(40, "linear:2:1", gr.NoiseSpec.gaussian(0.0, 1.0), seed=0)
+    with pytest.raises(InvalidParameterError, match="warm-start coefficients must be finite"):
+        gr.fit_egm(data, cat[name], 1.0, gr.linear_map(1), init_coefficients=[bad, 0.0])
+
+
 def test_singular_system_without_ridge(cat):
     # Constant input makes [x, 1] rank one.
     data = gr.Dataset(inputs=np.full((20, 1), 0.5), outputs=np.ones(20))
