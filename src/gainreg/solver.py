@@ -55,8 +55,8 @@ _MAX_STEP_HALVINGS = 40
 # Box-gain consensus search: random candidates, then coordinate sweeps per leader.
 _CONSENSUS_SAMPLES = 4000
 _CONSENSUS_SWEEPS = 3
-# Candidates whose residuals are counted at a time, through one reused buffer.
-_CONSENSUS_BLOCK = 256
+# Residuals of the candidates counted at a time (about 512 kB), through one reused buffer.
+_CONSENSUS_CELLS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -301,41 +301,60 @@ def _gradient_stage(
     return coeffs, iters, converged
 
 
-def _consensus_count(X: np.ndarray, y: np.ndarray, coeffs: np.ndarray, radius: float) -> int:
-    with np.errstate(over="ignore", invalid="ignore"):  # residuals past the double range
-        return int(np.sum(np.abs(y - X @ coeffs) <= radius))
+def _stable_at(values: np.ndarray, ordered: np.ndarray, i: int) -> float:
+    """``ordered[i]``, where ``ordered`` is ``values`` sorted, with the bits a stable sort
+    puts there: of the values that tie, only +-0.0 differ in sign (NaN payloads aside),
+    and a stable sort keeps them in data order."""
+    if ordered[i] != 0:
+        return ordered[i]
+    k = i - int(np.searchsorted(ordered, 0.0, "left"))
+    return values[np.flatnonzero(values == 0)[k]]
 
 
 def _consensus_coordinate_sweep(
     X: np.ndarray, y: np.ndarray, coeffs: np.ndarray, radius: float
-) -> np.ndarray:
-    """Exact 1-d updates: choose each coordinate by interval stabbing."""
+) -> tuple[np.ndarray, int]:
+    """One sweep of exact 1-d updates, each coordinate chosen by interval stabbing, and
+    the count of residuals within ``radius`` at the coefficients it returns.
+
+    Residual i stays within the radius while coordinate j lies in [opens[i], closes[i]].
+    With each sorted, into ``lows`` and ``highs``, the count just after the i-th opening
+    is i + 1 minus the intervals closed before it, ``searchsorted(highs, lows[i],
+    "left")``, as openings come first at a tie.  The first opening of most overlap is
+    followed by a closing (an opening would raise the count), and the candidate is their
+    midpoint, each endpoint with the bits a stable sort gives it.  A move is kept when it
+    counts at least as many residuals as the current coefficients, and only then are the
+    residuals recomputed.
+    """
     coeffs = coeffs.copy()
-    for j in range(X.shape[1]):
-        col = X[:, j]
-        active = np.abs(col) > 1e-12
-        if not np.any(active):
-            continue
-        # Outputs near the double range overflow here; the caller's gain check rejects them.
-        with np.errstate(over="ignore", invalid="ignore"):
-            rest = y - X @ coeffs + col * coeffs[j]
-            lo = (rest[active] - radius) / col[active]
-            hi = (rest[active] + radius) / col[active]
-            lows = np.minimum(lo, hi)
-            highs = np.maximum(lo, hi)
-            events = np.concatenate([np.stack([lows, np.ones_like(lows)], axis=1),
-                                     np.stack([highs, -np.ones_like(highs)], axis=1)])
-            order = np.lexsort((-events[:, 1], events[:, 0]))
-            events = events[order]
-            running = np.cumsum(events[:, 1])
+    # Outputs near the double range overflow here; the caller's gain check rejects them.
+    with np.errstate(over="ignore", invalid="ignore"):
+        residuals = y - X @ coeffs
+        count = int(np.count_nonzero(np.abs(residuals) <= radius))
+        for j in range(X.shape[1]):
+            col = X[:, j]
+            rest = residuals + col * coeffs[j]
+            active = np.abs(col) > 1e-12
+            if active.all():
+                base = 0
+            elif active.any():
+                base = int(np.count_nonzero(np.abs(rest[~active]) <= radius))
+                col, rest = col[active], rest[active]
+            else:
+                continue
+            lo = (rest - radius) / col
+            hi = (rest + radius) / col
+            opens, closes = np.minimum(lo, hi), np.maximum(lo, hi)
+            lows, highs = np.sort(opens), np.sort(closes)
+            closed = np.searchsorted(highs, lows, "left")
+            running = np.arange(1, lows.size + 1) - closed
             best = int(np.argmax(running))
-            # The first event opens an interval and the last closes one at a count of 0,
-            # so the best is never the last event.
-            candidate = 0.5 * (events[best, 0] + events[best + 1, 0])
-            base = np.sum(np.abs(rest[~active]) <= radius)
-        if running[best] + base >= _consensus_count(X, y, coeffs, radius):
-            coeffs[j] = candidate
-    return coeffs
+            if running[best] + base >= count:
+                shut = _stable_at(closes, highs, int(closed[best]))
+                coeffs[j] = 0.5 * (_stable_at(opens, lows, best) + shut)
+                residuals = y - X @ coeffs
+                count = int(np.count_nonzero(np.abs(residuals) <= radius))
+    return coeffs, count
 
 
 def _grid_consensus(
@@ -367,14 +386,22 @@ def _grid_consensus(
     samples = anchor[None, :] + samples * width[None, :]
     samples[0] = anchor
     counts = np.empty(_CONSENSUS_SAMPLES, dtype=np.intp)
-    buf = np.empty((_CONSENSUS_BLOCK, y.size))
-    for i in range(0, _CONSENSUS_SAMPLES, _CONSENSUS_BLOCK):
-        block = buf[: _CONSENSUS_SAMPLES - i]
+    rows = max(2, _CONSENSUS_CELLS // y.size)
+    buf = np.empty((min(rows + 1, _CONSENSUS_SAMPLES), y.size))
+    inside = np.empty(buf.shape, dtype=bool)
+    start = 0
+    while start < _CONSENSUS_SAMPLES:
+        # A lone last row joins the block before it: NumPy sends a one-row matmul to
+        # gemv, whose bits differ from gemm's.
+        stop = _CONSENSUS_SAMPLES if _CONSENSUS_SAMPLES - start <= rows + 1 else start + rows
+        block, mask = buf[: stop - start], inside[: stop - start]
         with np.errstate(over="ignore", invalid="ignore"):  # residuals past the double range
-            np.matmul(samples[i : i + _CONSENSUS_BLOCK], X.T, out=block)
+            np.matmul(samples[start:stop], X.T, out=block)
             np.subtract(y, block, out=block)
         np.abs(block, out=block)
-        counts[i : i + _CONSENSUS_BLOCK] = np.count_nonzero(block <= radius, axis=1)
+        np.less_equal(block, radius, out=mask)
+        counts[start:stop] = mask.sum(axis=1, dtype=np.int32)  # n < 2^31: exact
+        start = stop
     # Refine several leading candidates; a single basin can trap the sweep.
     top = np.argsort(-counts)[:8]
     lead = 0 if warm is not None else int(top[0])  # ties go to the warm start
@@ -382,8 +409,7 @@ def _grid_consensus(
     for idx in top:
         cand = samples[int(idx)]
         for _ in range(_CONSENSUS_SWEEPS):
-            cand = _consensus_coordinate_sweep(X, y, cand, radius)
-        count = _consensus_count(X, y, cand, radius)
+            cand, count = _consensus_coordinate_sweep(X, y, cand, radius)
         if count > best_count:
             best, best_count = cand, count
     return best
@@ -444,7 +470,9 @@ def fit_scales(
     first 2^k sigma (k >= 4) whose support holds every anchor residual; only the last
     pass degenerating raises.  ``init_coefficients`` replaces the ordinary-least-squares
     anchor (warm start), or centres the box gain's search; perturbed restarts still
-    scatter around it.
+    scatter around it.  The box gain's search reads only ``cfg.seed`` and the anchor's
+    ``cfg.ridge``: ``restarts``, ``anneal``, ``max_iters`` and ``tol`` have no effect on
+    it, its ``iterations`` is the sweep count, 3, and its ``converged`` is always True.
     """
     if any(sigma <= 0 for sigma in sigmas):
         raise InvalidParameterError("sigma must be positive")

@@ -393,17 +393,52 @@ def _consensus_problem(n, seed):
 
 
 def test_grid_consensus_block_size_moves_no_bit(cat, monkeypatch):
-    # 4000 candidates leave a partial last block of 160 at the default size.
+    # At n = 500 the default budget counts 131 candidates a block and 70 in the last;
+    # the patched one, 8 a block.
     X, y = _consensus_problem(500, 61)
     cfg = gr.SolverConfig(method="grid_consensus", seed=4)
     coeffs = solver._grid_consensus(X, y, cat["uniform"], 0.1, cfg)
-    monkeypatch.setattr(solver, "_CONSENSUS_BLOCK", solver._CONSENSUS_SAMPLES)
+    monkeypatch.setattr(solver, "_CONSENSUS_CELLS", solver._CONSENSUS_SAMPLES)
     assert coeffs.tobytes() == solver._grid_consensus(X, y, cat["uniform"], 0.1, cfg).tobytes()
     assert np.allclose(coeffs, [1.0, 2.0], atol=0.2)
 
 
+def test_grid_consensus_never_counts_a_one_row_block(cat, monkeypatch):
+    # At n = 2114 the default budget gives blocks of 31 rows, and 4000 = 129 * 31 + 1.
+    # NumPy sends a one-row matmul to gemv, whose bits differ from gemm's, so the lone
+    # row joins the block before it.
+    X, y = _consensus_problem(2114, 64)
+    cfg = gr.SolverConfig(method="grid_consensus", seed=4)
+    rows, matmul = [], np.matmul
+
+    def spy(a, b, **kw):
+        rows.append(a.shape[0])
+        return matmul(a, b, **kw)
+
+    monkeypatch.setattr(np, "matmul", spy)
+    coeffs = solver._grid_consensus(X, y, cat["uniform"], 0.1, cfg)
+    assert rows == [31] * 128 + [32]
+    monkeypatch.setattr(solver, "_CONSENSUS_CELLS", solver._CONSENSUS_SAMPLES * 2114)
+    assert coeffs.tobytes() == solver._grid_consensus(X, y, cat["uniform"], 0.1, cfg).tobytes()
+    assert rows[-1] == solver._CONSENSUS_SAMPLES
+
+
+@pytest.mark.parametrize("n, pinned", [
+    (50, "90a0693921a9f03ffa9ff6d18325ff3f"),
+    (500, "74a6f340f4bdef3f4541639d7a270040"),
+    (2114, "985cd82311b4ee3fb15677b30f070040"),
+    (3200, "c6b15ef862a5ed3f2a27388049f90040"),
+])
+def test_grid_consensus_keeps_the_lexsort_search_bytes(cat, n, pinned):
+    # The coefficients the search gave when its sweeps lexsorted 2n stacked events and
+    # it counted candidates 256 rows at a time.
+    X, y = _consensus_problem(n, 63)
+    cfg = gr.SolverConfig(method="grid_consensus", seed=4)
+    assert solver._grid_consensus(X, y, cat["uniform"], 0.1, cfg).tobytes().hex() == pinned
+
+
 def test_grid_consensus_counts_in_blocks_not_one_matrix(cat):
-    # All 4000 candidates' residuals at n = 3200 are a 102 MB matrix.
+    # All 4000 candidates' residuals at n = 3200 are a 102 MB matrix; one block is 0.5 MB.
     X, y = _consensus_problem(3200, 62)
     cfg = gr.SolverConfig(method="grid_consensus", seed=4)
     tracemalloc.start()
@@ -412,7 +447,80 @@ def test_grid_consensus_counts_in_blocks_not_one_matrix(cat):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 32e6
+    assert peak < 2e6
+
+
+def _lexsort_consensus_count(X, y, coeffs, radius):
+    with np.errstate(over="ignore", invalid="ignore"):  # residuals past the double range
+        return int(np.sum(np.abs(y - X @ coeffs) <= radius))
+
+
+def _lexsort_coordinate_sweep(X, y, coeffs, radius):
+    """Exact 1-d updates: choose each coordinate by interval stabbing."""
+    coeffs = coeffs.copy()
+    for j in range(X.shape[1]):
+        col = X[:, j]
+        active = np.abs(col) > 1e-12
+        if not np.any(active):
+            continue
+        # Outputs near the double range overflow here; the caller's gain check rejects them.
+        with np.errstate(over="ignore", invalid="ignore"):
+            rest = y - X @ coeffs + col * coeffs[j]
+            lo = (rest[active] - radius) / col[active]
+            hi = (rest[active] + radius) / col[active]
+            lows = np.minimum(lo, hi)
+            highs = np.maximum(lo, hi)
+            events = np.concatenate([np.stack([lows, np.ones_like(lows)], axis=1),
+                                     np.stack([highs, -np.ones_like(highs)], axis=1)])
+            order = np.lexsort((-events[:, 1], events[:, 0]))
+            events = events[order]
+            running = np.cumsum(events[:, 1])
+            best = int(np.argmax(running))
+            # The first event opens an interval and the last closes one at a count of 0,
+            # so the best is never the last event.
+            candidate = 0.5 * (events[best, 0] + events[best + 1, 0])
+            base = np.sum(np.abs(rest[~active]) <= radius)
+        if running[best] + base >= _lexsort_consensus_count(X, y, coeffs, radius):
+            coeffs[j] = candidate
+    return coeffs
+
+
+def _sweep_case(family, rng):
+    n, p = int(rng.integers(1, 40)), int(rng.integers(1, 4))
+    if family == "integers":  # tied endpoints, and zeros of either sign
+        X = rng.integers(-3, 4, (n, p)).astype(float)
+        y = rng.integers(-5, 6, n).astype(float)
+        start = rng.integers(-2, 3, p) * rng.choice([1.0, -1.0], p)
+        return X, y, start, float(rng.choice([0.5, 1.0]))
+    X = rng.standard_normal((n, p))
+    y = X @ rng.standard_normal(p) + 0.01 * rng.standard_normal(n)
+    start = rng.standard_normal(p)
+    if family == "null columns":
+        X[:, rng.integers(p)] = 0.0 if rng.random() < 0.5 else 1e-12 * rng.uniform(-1, 1, n)
+        return X, y, start, 0.5
+    if family == "overflow":  # residuals past the double range: inf and NaN
+        return X, 1e300 * y, 1e300 * start * (rng.random() < 0.5), float(rng.choice([1e-3, 1.0]))
+    return X, y, start, 1e-3
+
+
+def _nan_canonical(a):
+    return np.where(np.isnan(a), np.nan, a).tobytes()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("family", ["integers", "null columns", "overflow", "narrow"])
+def test_consensus_sweep_matches_the_lexsort_sweep(family):
+    # The sorted-endpoint sweep gives the lexsort sweep's bits (NaN payloads aside: a
+    # NaN candidate counts nothing, so it never leaves the search), three sweeps deep.
+    rng = np.random.default_rng(["integers", "null columns", "overflow", "narrow"].index(family))
+    for _ in range(500):
+        X, y, ref, radius = _sweep_case(family, rng)
+        new = ref
+        for _ in range(solver._CONSENSUS_SWEEPS):
+            ref = _lexsort_coordinate_sweep(X, y, ref, radius)
+            new, count = solver._consensus_coordinate_sweep(X, y, new, radius)
+            assert _nan_canonical(new) == _nan_canonical(ref)
+            assert count == _lexsort_consensus_count(X, y, new, radius)
 
 
 def _box2(cat, support_radius=2.0):
