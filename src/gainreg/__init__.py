@@ -55,6 +55,7 @@ from .gains import (
     catalog,
     eval_gain,
     eval_gain_derivative,
+    gain_sloper,
     gain_weigher,
     generalized_tukey,
     irls_weight,

@@ -29,6 +29,9 @@ from .errors import (
 )
 
 ArrayFn = Callable[[np.ndarray], np.ndarray]
+# s -> (phi(s), half-quadratic weights) and s -> (phi(s), a function finishing phi'(s)).
+WeightKernel = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
+SlopeKernel = Callable[[np.ndarray], tuple[np.ndarray, Callable[[], np.ndarray]]]
 
 # Grid size for the supremum searches that back non-tabulated constants.
 _CONSTANT_GRID = 100_000
@@ -63,9 +66,17 @@ class GainSpec:
 
     ``fourier(sigma, xi)`` is the closed-form transform int p_sigma(t) cos(xi t) dt
     where one is known.  A gain without ``generating_deriv`` is a piecewise-constant box.
-    Its peak is ``eval_gain(spec, sigma, 0.0)``.  ``weight_per_gain`` is set when the
-    half-quadratic weight is that fixed multiple of the gain, -psi'(u) = c psi(u), so
-    the reweighting loop scales the gain values instead of evaluating psi'.
+    Its peak is ``eval_gain(spec, sigma, 0.0)``.
+
+    The fused kernels make the fit stages' one pass over the scaled residuals s.
+    ``weight_kernel(s)`` returns phi(s) and the half-quadratic weights, bit-equal to
+    ``generating_fn(s)`` and ``-psi'(s**2)`` clamped to 0 beyond the support (what
+    ``irls_weight`` gives).  ``slope_kernel(s)`` returns phi(s) and a function of no
+    arguments that finishes phi'(s), bit-equal to ``generating_deriv(s)``, so a line
+    search finishes the accepted candidate's slope only.  A kernel is called only where
+    the functions it fuses exist, and a spec without one gets it assembled from those
+    functions by ``gain_weigher`` or ``gain_sloper``.  ``replace`` carries a kernel over,
+    so a spec whose phi, phi' or psi' is replaced should drop the kernels that fuse it.
     """
 
     name: str
@@ -84,7 +95,8 @@ class GainSpec:
     loss_formula: str
     sigma_normalized: bool = False
     fourier: Optional[Callable[[float, np.ndarray], np.ndarray]] = None
-    weight_per_gain: Optional[float] = None
+    weight_kernel: Optional[WeightKernel] = None
+    slope_kernel: Optional[SlopeKernel] = None
 
     def __post_init__(self) -> None:
         if self.representing_fn is not None and (
@@ -92,13 +104,6 @@ class GainSpec:
         ):
             raise InvalidParameterError(
                 f"{self.name}: a representing function needs its derivative and constants"
-            )
-        if self.weight_per_gain is not None and not (
-            self.representing_deriv is not None and 0.0 < self.weight_per_gain < math.inf
-        ):
-            raise InvalidParameterError(
-                f"{self.name}: weight_per_gain needs a representing function and a finite "
-                f"positive value, got {self.weight_per_gain}"
             )
 
     @property
@@ -153,10 +158,7 @@ def eval_gain(spec: GainSpec, sigma: float, t) -> float | np.ndarray:
 def eval_gain_derivative(spec: GainSpec, sigma: float, t) -> float | np.ndarray:
     """Evaluate ``d/dt p_sigma(t)``, taking right one-sided values at kinks."""
     sigma = _check_sigma(sigma)
-    if spec.generating_deriv is None:
-        raise UnsupportedOperationError(
-            f"{spec.name}: derivative is zero almost everywhere and not useful"
-        )
+    _check_differentiable(spec)
     arr, scalar = _as_points(t, sigma)
     vals = spec.generating_deriv(arr / sigma) / sigma
     if spec.sigma_normalized:
@@ -185,28 +187,64 @@ def gain_weigher(
     """The mean gain and half-quadratic weights of a residual vector, in one pass.
 
     The spec and sigma are checked here, once, and each call of the returned function
-    checks only its residual range.  ``gain_weigher(spec, sigma)(r)`` is bit-equal to
-    ``float(np.mean(eval_gain(spec, sigma, r)))`` and ``irls_weight(spec, sigma, r)``,
-    with their errors; an out-of-range residual is named as ``eval_gain`` names it.
-
-    A spec with ``weight_per_gain`` gets its weights by scaling the gain values, one
-    ``exp`` where psi' would take a second.  For the gaussian that is bit-equal: its
-    phi(s) is psi(s * s), ``s * s`` and ``s**2`` round alike, and ``exp / 2`` is never
-    negative, so the clamp in ``_weights`` changes nothing.
+    checks only its residual range and runs ``spec.weight_kernel`` once.
+    ``gain_weigher(spec, sigma)(r)`` is bit-equal to ``float(np.mean(eval_gain(spec,
+    sigma, r)))`` and ``irls_weight(spec, sigma, r)``, with their errors; an out-of-range
+    residual is named as ``eval_gain`` names it.
     """
     _check_weighted(spec)
     sigma = _check_sigma(sigma)
-    ratio = spec.weight_per_gain
+    kernel = spec.weight_kernel or (lambda s: (spec.generating_fn(s), _weights(spec, s**2)))
 
     def weigh(r) -> tuple[float, np.ndarray]:
         arr, _ = _as_points(r, sigma)
-        s = arr / sigma
-        raw = spec.generating_fn(s)
-        vals = raw / sigma if spec.sigma_normalized else raw
-        weights = _weights(spec, s**2) if ratio is None else ratio * raw
-        return float(vals.sum() / vals.size), weights
+        raw, weights = kernel(arr / sigma)
+        return _mean(spec, sigma, raw), weights
 
     return weigh
+
+
+def gain_sloper(
+    spec: GainSpec, sigma: float
+) -> Callable[[np.ndarray], tuple[float, Callable[[], np.ndarray]]]:
+    """The mean gain of a residual vector and a function that finishes its slopes, in one pass.
+
+    The spec and sigma are checked here, once, and each call of the returned function
+    checks only its residual range and runs ``spec.slope_kernel`` once.
+    ``gain, slope = gain_sloper(spec, sigma)(r)`` gives ``gain`` bit-equal to
+    ``float(np.mean(eval_gain(spec, sigma, r)))`` and ``slope()`` bit-equal to
+    ``eval_gain_derivative(spec, sigma, r)``, with their errors.
+    """
+    sigma = _check_sigma(sigma)
+    _check_differentiable(spec)
+    kernel = spec.slope_kernel or (
+        lambda s: (spec.generating_fn(s), lambda: spec.generating_deriv(s))
+    )
+
+    def evaluate(r) -> tuple[float, Callable[[], np.ndarray]]:
+        arr, _ = _as_points(r, sigma)
+        raw, finish = kernel(arr / sigma)
+
+        def slope() -> np.ndarray:
+            vals = finish() / sigma
+            return vals / sigma if spec.sigma_normalized else vals
+
+        return _mean(spec, sigma, raw), slope
+
+    return evaluate
+
+
+def _mean(spec: GainSpec, sigma: float, raw: np.ndarray) -> float:
+    """The mean of p_sigma from phi's values: ``sum / size``, bit-equal to ``np.mean``."""
+    vals = raw / sigma if spec.sigma_normalized else raw
+    return float(vals.sum() / vals.size)
+
+
+def _check_differentiable(spec: GainSpec) -> None:
+    if spec.generating_deriv is None:
+        raise UnsupportedOperationError(
+            f"{spec.name}: derivative is zero almost everywhere and not useful"
+        )
 
 
 def _check_weighted(spec: GainSpec) -> None:
@@ -277,11 +315,20 @@ def _tukey(m: int, n: int, tabulated: Optional[GainConstants]) -> GainSpec:
         raise InvalidParameterError(f"power indices must satisfy m >= 1, n >= 1, got ({m}, {n})")
     m, n = int(m), int(n)
 
+    def slope(s: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        inside = (s >= -1.0) & (s < 1.0)
+        return np.where(inside, -n * m * a ** (m - 1) * b ** (n - 1) * _signp(s), 0.0)
+
     def dphi(s: np.ndarray) -> np.ndarray:
         a = np.abs(s)
-        inside = (s >= -1.0) & (s < 1.0)
-        core = -n * m * a ** (m - 1) * (1.0 - np.minimum(a, 1.0) ** m) ** (n - 1)
-        return np.where(inside, core * _signp(s), 0.0)
+        return slope(s, a, 1.0 - np.minimum(a, 1.0) ** m)
+
+    def slope_kernel(s: np.ndarray) -> tuple[np.ndarray, Callable[[], np.ndarray]]:
+        # b is 0 from the support edge on, and so is b ** n (n >= 1): phi needs no mask.
+        # For m = 2, min(|s|, 1) ** 2 rounds as min(s * s, 1), so b ** n is psi(s * s).
+        a = np.abs(s)
+        b = 1.0 - np.minimum(a, 1.0) ** m
+        return b**n, lambda: slope(s, a, b)
 
     if m == 2:
         def psi(u: np.ndarray) -> np.ndarray:
@@ -290,6 +337,12 @@ def _tukey(m: int, n: int, tabulated: Optional[GainConstants]) -> GainSpec:
         def dpsi(u: np.ndarray) -> np.ndarray:
             return np.where(u < 1.0, -n * (1.0 - np.minimum(u, 1.0)) ** (n - 1), 0.0)
 
+        def weight_kernel(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            # c is 0 from the support edge on, so c ** n and, for n >= 2, n c^(n-1) need
+            # no mask; -(-n x) is n x, never negative, so the clamp changes nothing.
+            c = 1.0 - np.minimum(s * s, 1.0)
+            return c**n, n * c ** (n - 1) if n > 1 else np.where(c > 0.0, 1.0, 0.0)
+
         phi = _phi_from_psi(psi)
         constants = tabulated or _searched_constants(dphi, dpsi, float(n), 1.0)
     else:
@@ -297,7 +350,7 @@ def _tukey(m: int, n: int, tabulated: Optional[GainConstants]) -> GainSpec:
             a = np.abs(s)
             return np.where(a <= 1.0, (1.0 - np.minimum(a, 1.0) ** m) ** n, 0.0)
 
-        psi = dpsi = constants = None
+        psi = dpsi = constants = weight_kernel = None
 
     return GainSpec(
         name=f"generalized_tukey_{m}_{n}",
@@ -314,6 +367,8 @@ def _tukey(m: int, n: int, tabulated: Optional[GainConstants]) -> GainSpec:
         formula=f"(1 - |t/s|^{m})^{n} for |t| <= s, else 0",
         loss_name=f"generalized Tukey loss (m={m}, n={n})",
         loss_formula=f"1 - (1 - |t/s|^{m})^{n} for |t| <= s, else 1",
+        weight_kernel=weight_kernel,
+        slope_kernel=slope_kernel,
     )
 
 
@@ -326,6 +381,10 @@ def _cauchy() -> GainSpec:
 
     def dpsi(u):
         return -1.0 / (1.0 + u) ** 2
+
+    def weight_kernel(s):
+        d = 1.0 + s * s
+        return 1.0 / d, 1.0 / d**2  # -(-1 / d^2) is positive: the clamp changes nothing
 
     return GainSpec(
         name="cauchy",
@@ -343,6 +402,7 @@ def _cauchy() -> GainSpec:
         loss_name="Geman-McClure loss",
         loss_formula="t^2 / (s^2 + t^2)",
         fourier=lambda sigma, xi: math.pi * sigma * np.exp(-sigma * np.abs(xi)),
+        weight_kernel=weight_kernel,
     )
 
 
@@ -358,6 +418,11 @@ def _gaussian() -> GainSpec:
 
     def dpsi(u):
         return -0.5 * np.exp(-0.5 * u)
+
+    def weight_kernel(s):
+        # -psi'(u) = psi(u) / 2: one exp, not two; exp / 2 is never negative.
+        vals = psi(s * s)
+        return vals, 0.5 * vals
 
     return GainSpec(
         name="gaussian",
@@ -377,7 +442,7 @@ def _gaussian() -> GainSpec:
         fourier=lambda sigma, xi: (
             sigma * math.sqrt(2.0 * math.pi) * np.exp(-0.5 * (sigma * xi) ** 2)
         ),
-        weight_per_gain=0.5,  # -psi'(u) = exp(-u/2) / 2
+        weight_kernel=weight_kernel,
     )
 
 
@@ -385,10 +450,16 @@ def _laplace() -> GainSpec:
     def phi(s):
         return np.exp(-np.abs(s))
 
-    def dphi(s):
+    def slope(s, e):
         # Right one-sided derivative at the kink t = 0; exp(-|s|) cannot overflow.
-        e = np.exp(-np.abs(s))
         return np.where(s >= 0.0, -e, e)
+
+    def dphi(s):
+        return slope(s, phi(s))
+
+    def slope_kernel(s):
+        e = phi(s)
+        return e, lambda: slope(s, e)
 
     return GainSpec(
         name="laplace",
@@ -406,6 +477,7 @@ def _laplace() -> GainSpec:
         loss_name="exponential absolute loss",
         loss_formula="1 - exp(-|t| / s)",
         fourier=lambda sigma, xi: 2.0 * sigma / (1.0 + (sigma * xi) ** 2),
+        slope_kernel=slope_kernel,
     )
 
 
@@ -427,6 +499,16 @@ def _cosine() -> GainSpec:
         core = np.where(root < 1e-8, -math.pi**2 / 8.0, core)
         return np.where(u < 1.0, core, 0.0)
 
+    def weight_kernel(s):
+        # u = s * s is never -0, so clipping it to [0, 1] is min(u, 1); the weight is
+        # -psi'(u) with the sign taken inside, and it is positive below 1.
+        u = s * s
+        root = np.sqrt(np.minimum(u, 1.0))
+        turn = half_pi * root
+        core = (half_pi / 2.0) * np.sin(turn) / np.maximum(root, 1e-300)
+        core = np.where(root < 1e-8, math.pi**2 / 8.0, core)
+        return np.where(u <= 1.0, np.cos(turn), 0.0), np.where(u < 1.0, core, 0.0)
+
     return GainSpec(
         name="cosine",
         generating_fn=_phi_from_psi(psi),
@@ -442,6 +524,7 @@ def _cosine() -> GainSpec:
         formula="cos(pi t / (2 s)) for |t| <= s, else 0",
         loss_name="Andrews loss",
         loss_formula="s^2 * (1 - cos(pi t / (2 s))) for |t| <= s, else s^2",
+        weight_kernel=weight_kernel,
     )
 
 

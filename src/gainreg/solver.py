@@ -39,7 +39,7 @@ from .features import (
     design_matrix,
     predict_batch,
 )
-from .gains import GainSpec, eval_gain, eval_gain_derivative, gain_weigher
+from .gains import GainSpec, eval_gain, eval_gain_derivative, gain_sloper, gain_weigher
 from .rng import generator
 from .simulate import Dataset
 
@@ -113,15 +113,13 @@ def gain_gradient(
 ) -> np.ndarray:
     """Gradient of the empirical gain in the coefficients."""
     X = design_matrix(model.feature_map, data.inputs)
-    return _gradient(X, data.outputs - X @ model.coefficients, spec, sigma)
+    slopes = eval_gain_derivative(spec, sigma, data.outputs - X @ model.coefficients)
+    return -(X.T @ slopes) / data.n
 
 
 def _mean_gain(spec: GainSpec, sigma: float, residuals: np.ndarray) -> float:
-    return float(np.mean(eval_gain(spec, sigma, residuals)))
-
-
-def _gradient(X: np.ndarray, residuals: np.ndarray, spec: GainSpec, sigma: float) -> np.ndarray:
-    return -(X.T @ eval_gain_derivative(spec, sigma, residuals)) / len(residuals)
+    vals = eval_gain(spec, sigma, residuals)
+    return float(vals.sum() / vals.size)  # bit-equal to np.mean
 
 
 def _weighted_solve(
@@ -249,15 +247,18 @@ def _gradient_stage(
     The first step is ``_STEP_INIT``.  Each later one starts from the Barzilai-Borwein
     step s's / (-s'dg), with s the last coefficient move and dg the gradient's change,
     or from twice the last accepted step where s'dg >= 0; it is capped at 1e9
-    ``_STEP_INIT`` and halved until the gain does not fall.  The accepted candidate's
-    residuals give the next gradient.  The starting gain and each accepted step's gain
-    go onto ``trace``, so its last entry is the gain of the returned coefficients.
-    ``features`` matches the reweighting stage's signature; a gradient step has no ridge.
-    A start with no residual inside a compact support has a zero gradient, so it raises
-    ``DegenerateIterateError``, as a reweighting stage does when its weights vanish.
+    ``_STEP_INIT`` and halved until the gain does not fall.  A candidate whose residuals
+    leave the range a gain accepts (1e50 sigma) counts as a fall; the stage's starting
+    residuals raise.  Each candidate's residuals get one pass, for their mean gain, and
+    the accepted candidate's slopes are finished from it for the next gradient.  The
+    starting gain and each accepted step's gain go onto ``trace``, so its last entry is
+    the gain of the returned coefficients.  ``features`` matches the reweighting stage's
+    signature; a gradient step has no ridge.  A start with no residual inside a compact
+    support has a zero gradient, so it raises ``DegenerateIterateError``, as a
+    reweighting stage does when its weights vanish.
     """
-    residuals = y - X @ coeffs
-    gain = _mean_gain(spec, sigma, residuals)
+    evaluate = gain_sloper(spec, sigma)
+    gain, slope = evaluate(y - X @ coeffs)
     if gain == 0.0 and math.isfinite(spec.support_radius):
         raise DegenerateIterateError(
             f"no residual inside the gain's support at sigma = {sigma}; "
@@ -270,9 +271,8 @@ def _gradient_stage(
     iters = 0
     for _ in range(cfg.max_iters):
         iters += 1
-        grad = _gradient(X, residuals, spec, sigma)
-        norm = float(np.linalg.norm(grad))
-        if norm == 0.0:
+        grad = -(X.T @ slope()) / len(y)
+        if grad.dot(grad) == 0.0:  # np.linalg.norm(grad) == 0.0
             converged = True
             break
         if move is not None:
@@ -282,8 +282,10 @@ def _gradient_stage(
         accepted = False
         for _ in range(_MAX_STEP_HALVINGS):
             candidate = coeffs + step * grad
-            cand_residuals = y - X @ candidate
-            cand_gain = _mean_gain(spec, sigma, cand_residuals)
+            try:
+                cand_gain, cand_slope = evaluate(y - X @ candidate)
+            except InvalidInputError:
+                cand_gain = -math.inf
             if cand_gain >= gain:
                 accepted = True
                 break
@@ -293,7 +295,7 @@ def _gradient_stage(
             break
         improvement = cand_gain - gain
         move, last_grad = candidate - coeffs, grad
-        coeffs, gain, residuals = candidate, cand_gain, cand_residuals
+        coeffs, gain, slope = candidate, cand_gain, cand_slope
         trace.append(gain)
         if improvement <= cfg.tol * max(1.0, abs(gain)):
             converged = True
@@ -357,6 +359,13 @@ def _consensus_coordinate_sweep(
     return coeffs, count
 
 
+def _leaders(counts: np.ndarray, k: int) -> np.ndarray:
+    """The indices of the k largest counts, a tie to the lower index.  A stable sort does
+    that on every CPU; which tied entries NumPy's default sort puts first rests on the
+    sort it dispatches for the CPU."""
+    return np.argsort(-counts, kind="stable")[:k]
+
+
 def _grid_consensus(
     X: np.ndarray,
     y: np.ndarray,
@@ -403,7 +412,7 @@ def _grid_consensus(
         counts[start:stop] = mask.sum(axis=1, dtype=np.int32)  # n < 2^31: exact
         start = stop
     # Refine several leading candidates; a single basin can trap the sweep.
-    top = np.argsort(-counts)[:8]
+    top = _leaders(counts, 8)
     lead = 0 if warm is not None else int(top[0])  # ties go to the warm start
     best, best_count = samples[lead], int(counts[lead])
     for idx in top:

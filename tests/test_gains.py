@@ -9,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import gainreg as gr
+from gainreg import gains
 from gainreg.errors import (
     InvalidInputError,
     InvalidParameterError,
@@ -416,17 +417,104 @@ def test_gain_and_weights_raise_as_the_two_calls(cat, sigma, r, error):
         assert messages[1] == messages[0]
 
 
+@pytest.mark.parametrize("sigma", [1.3, 2, 1e-3, 1e4])
+def test_gain_and_slope_is_bit_equal_to_the_two_calls(cat, sigma):
+    r = sigma * np.array([0.0, -0.0, 1.0, -1.0, 1e-320, -1e-300, 1e-8, 0.37, -0.99,
+                          1.0 - 1e-16, 2.5, -40.0, 1e40, -1e50])
+    specs = [spec for spec in cat.values() if spec.generating_deriv is not None]
+    specs += [gr.generalized_tukey(4, 5), gr.mixture_gain([(0.6, 1.0), (0.4, 2.0)])]
+    for spec in specs:
+        for sample in (r, r[:1], r[2:7]):
+            gain, slope = gr.gain_sloper(spec, sigma)(sample)
+            assert type(gain) is float
+            assert gain == float(np.mean(gr.eval_gain(spec, sigma, sample))), spec.name
+            assert _bits(slope()) == _bits(gr.eval_gain_derivative(spec, sigma, sample)), spec.name
+
+
+@pytest.mark.parametrize("sigma,r,error", [
+    (0.0, [0.5], InvalidParameterError),
+    (1e101, [0.5], InvalidParameterError),
+    (1.0, [0.5, math.nan], InvalidInputError),
+    (2.0, [0.0, 2.0001e50], InvalidInputError),
+], ids=["zero", "huge-sigma", "nan", "beyond-1e50-sigma"])
+def test_gain_and_slope_raise_as_the_two_calls(cat, sigma, r, error):
+    messages = []
+
+    def evaluate(spec, sigma, r):
+        return gr.gain_sloper(spec, sigma)(r)
+
+    for fn in (gr.eval_gain, gr.eval_gain_derivative, evaluate):
+        with pytest.raises(error) as info:
+            fn(cat["laplace"], sigma, np.array(r))
+        messages.append(str(info.value))
+    assert messages[2] == messages[1] == messages[0]
+    # A box has no slope to finish, whatever its scale.
+    with pytest.raises(UnsupportedOperationError, match="derivative"):
+        gr.gain_sloper(cat["uniform"], 1.0)
+
+
+def _bits(a: np.ndarray) -> tuple:
+    return a.dtype, a.shape, a.tobytes()
+
+
+def _kernel_inputs():
+    """Contiguous vectors of lengths 1-17, 31, 64 and 257 from start offsets 0-3, and
+    the whole pool, so that SIMD loops also run their tails and unaligned heads.  The
+    pool opens with +-0, +-1 and their neighbours, the cosine weight's 1e-8 switch and
+    its neighbour, subnormals and +-1e50, then normal and +-1.2-uniform draws."""
+    edges = np.array([0.0, 1.0, np.nextafter(1.0, 0.0), np.nextafter(1.0, 2.0),
+                      np.nextafter(0.0, 1.0), 1e-310, 2.2e-308, 1e-8, np.nextafter(1e-8, 0.0),
+                      0.5, 1e50])
+    rng = np.random.default_rng(0)
+    pool = np.concatenate([edges, -edges, rng.standard_normal(200), rng.uniform(-1.2, 1.2, 200)])
+    for length in (*range(1, 18), 31, 64, 257):
+        for start in range(4):
+            yield pool[start:start + length]
+    yield pool
+
+
+def test_every_fused_kernel_is_bit_equal_to_the_plain_functions(cat):
+    # The catalog's hand-fused kernels, then every kernel the fit stages call, through
+    # the evaluators at sigma = 1, where r / sigma is r: assembled ones (the mixture's,
+    # the Cauchy slope) included.
+    assert [name for name, spec in cat.items() if spec.weight_kernel] == TYPE2
+    assert [name for name, spec in cat.items() if spec.slope_kernel] == [
+        "triweight", "epanechnikov", "laplace", "tricube", "quartic", "triangular"]
+    specs = (list(cat.values())
+             + [gr.generalized_tukey(m, n) for m in (1, 2, 3, 4) for n in (1, 2, 3, 5)]
+             + [gr.mixture_gain([(0.6, 1.0), (0.4, 2.0)])])
+    for spec in specs:
+        for s in _kernel_inputs():
+            phi = _bits(spec.generating_fn(s))
+            gain = float(np.mean(gr.eval_gain(spec, 1.0, s)))
+            if spec.weight_kernel is not None:
+                raw, w = spec.weight_kernel(s)
+                assert (_bits(raw), _bits(w)) == (phi, _bits(gains._weights(spec, s**2))), spec.name
+                # The reweighting loop rescales the weights in place.
+                assert w.flags.writeable and not np.shares_memory(w, raw)
+            if spec.representing_deriv is not None:
+                mean, w = gr.gain_weigher(spec, 1.0)(s)
+                assert (mean, _bits(w)) == (gain, _bits(gr.irls_weight(spec, 1.0, s))), spec.name
+            if spec.slope_kernel is not None:
+                raw, finish = spec.slope_kernel(s)
+                assert (_bits(raw), _bits(finish())) == (phi, _bits(spec.generating_deriv(s)))
+            if spec.generating_deriv is not None:
+                mean, slope = gr.gain_sloper(spec, 1.0)(s)
+                expected = gr.eval_gain_derivative(spec, 1.0, s)
+                assert (mean, _bits(slope())) == (gain, _bits(expected)), spec.name
+
+
 def test_weight_per_gain_is_what_the_representing_derivative_gives(cat):
-    # The capability states -psi'(u) = c psi(u); the gaussian's c is 1/2.
+    # The gaussian's fused weights are its gain values halved: -psi'(u) = psi(u) / 2.
     u = np.linspace(0.0, 50.0, 1001)
-    declared = [spec for spec in cat.values() if spec.weight_per_gain is not None]
-    assert [spec.name for spec in declared] == ["gaussian"]
-    for spec in declared:
-        assert np.array_equal(-spec.representing_deriv(u),
-                              spec.weight_per_gain * spec.representing_fn(u))
+    spec = cat["gaussian"]
+    assert np.array_equal(-spec.representing_deriv(u), 0.5 * spec.representing_fn(u))
+    s = np.sqrt(u)
+    gain, weights = spec.weight_kernel(s)
+    assert weights.tobytes() == (0.5 * gain).tobytes()
 
 
-def test_a_spec_without_weight_per_gain_takes_the_two_function_weights(cat):
+def test_a_spec_without_a_fused_kernel_takes_the_plain_functions(cat):
     base = cat["gaussian"]
     calls = []
 
@@ -435,20 +523,24 @@ def test_a_spec_without_weight_per_gain_takes_the_two_function_weights(cat):
         return base.representing_deriv(u)
 
     r = np.array([0.0, -0.0, 0.3, -1.7, 4.0, 1e3])
-    plain = replace(base, weight_per_gain=None, representing_deriv=counted)
+    plain = replace(base, weight_kernel=None, representing_deriv=counted)
     gain, w = gr.gain_weigher(plain, 1.3)(r)
     assert len(calls) == 1
     assert w.tobytes() == gr.irls_weight(base, 1.3, r).tobytes()
     calls.clear()
-    # With the capability the weights scale the gain values, bit for bit the same.
-    scaled_gain, scaled = gr.gain_weigher(replace(base, representing_deriv=counted), 1.3)(r)
+    # The hand-fused kernel scales the gain values, bit for bit the same; replace keeps it.
+    fused_gain, fused = gr.gain_weigher(replace(base, representing_deriv=counted), 1.3)(r)
     assert calls == []
-    assert (scaled_gain, scaled.tobytes()) == (gain, w.tobytes())
+    assert (fused_gain, fused.tobytes()) == (gain, w.tobytes())
+    # So too for the slope: without a kernel, phi and phi' run on the same scaled points.
+    laplace, slopes = cat["laplace"], []
 
+    def counted_slope(s):
+        slopes.append(s)
+        return laplace.generating_deriv(s)
 
-@pytest.mark.parametrize("value", [0.0, -0.5, math.inf, math.nan])
-def test_weight_per_gain_needs_weights_and_a_finite_positive_value(cat, value):
-    with pytest.raises(InvalidParameterError, match="weight_per_gain"):
-        replace(cat["gaussian"], weight_per_gain=value)
-    with pytest.raises(InvalidParameterError, match="weight_per_gain"):
-        replace(cat["laplace"], weight_per_gain=0.5)
+    plain = replace(laplace, slope_kernel=None, generating_deriv=counted_slope)
+    gain, slope = gr.gain_sloper(plain, 1.3)(r)
+    assert slopes == []  # finished only when asked for
+    assert slope().tobytes() == gr.eval_gain_derivative(laplace, 1.3, r).tobytes()
+    assert len(slopes) == 1

@@ -1,5 +1,6 @@
 """Fitting behavior: exact recoveries, ascent guarantees, schedules, CV."""
 
+import hashlib
 import tracemalloc
 from dataclasses import replace
 
@@ -117,25 +118,32 @@ def test_gradient_method_never_decreases(cat):
 
 
 def _counting_gain_calls(monkeypatch):
-    """Record the residual arrays each gain and gain-derivative call of the solver gets."""
+    """Record the residual arrays of each gain evaluation the solver's gradient stages
+    make, and of each slope they finish."""
     seen = {"gain": [], "derivative": []}
-    real_gain, real_derivative = solver.eval_gain, solver.eval_gain_derivative
+    real = solver.gain_sloper
 
-    def gain(spec, sigma, residuals):
-        seen["gain"].append(residuals)
-        return real_gain(spec, sigma, residuals)
+    def sloper(spec, sigma):
+        evaluate = real(spec, sigma)
 
-    def derivative(spec, sigma, residuals):
-        seen["derivative"].append(residuals)
-        return real_derivative(spec, sigma, residuals)
+        def counted(residuals):
+            seen["gain"].append(residuals)
+            gain, slope = evaluate(residuals)
 
-    monkeypatch.setattr(solver, "eval_gain", gain)
-    monkeypatch.setattr(solver, "eval_gain_derivative", derivative)
+            def counted_slope():
+                seen["derivative"].append(residuals)
+                return slope()
+
+            return gain, counted_slope
+
+        return counted
+
+    monkeypatch.setattr(solver, "gain_sloper", sloper)
     return seen
 
 
 def test_gradient_stage_evaluates_each_candidate_once(cat, monkeypatch):
-    # One gain evaluation per candidate, one derivative per iteration, and each
+    # One gain evaluation per candidate, one slope per iteration, and each
     # gradient reads the residuals of the candidate just accepted.
     data = linear_data(seed=30)
     X = gr.design_matrix(gr.linear_map(1), data.inputs)
@@ -182,6 +190,73 @@ def test_gradient_traces_are_monotone_on_every_anneal_stage(cat, monkeypatch, na
     for trace in traces:
         assert len(trace) > 1 and np.all(np.diff(trace) >= 0.0)
     assert report.gain_trace in [tuple(t) for t in traces[3::4]]
+
+
+@pytest.mark.parametrize("name", ["laplace", "triangular", "tricube"])
+def test_gradient_fits_step_back_from_residuals_past_the_gain_range(cat, name):
+    # With x near 1e30 the first trial step puts residuals past 1e50 sigma; such a
+    # candidate is a failed try and the step halves, where the search used to raise.
+    data = linear_data(n=50, seed=0)
+    huge = replace(data, inputs=1e30 * data.inputs)
+    report = gr.fit_egm(huge, cat[name], 1.0, gr.linear_map(1))
+    assert report.method == "gradient"
+    assert report.empirical_gain >= report.gain_trace[0] > 0.5  # the anchor's gain
+    # Residuals past the range at the stage's start still raise.
+    X = gr.design_matrix(gr.linear_map(1), huge.inputs)
+    with pytest.raises(InvalidInputError, match="1e\\+50 sigma"):
+        solver._gradient_stage(X, huge.outputs, np.array([1e30, 0.0]), cat[name], 1.0,
+                               gr.SolverConfig(method="gradient"), [], 2)
+
+
+def _digest(*arrays) -> str:
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.asarray(a, dtype=float).tobytes())
+    return h.hexdigest()[:24]
+
+
+def _contaminated_linear(n, seed):
+    noise = gr.NoiseSpec.contaminated(gr.NoiseSpec.gaussian(0.0, 1.0), 0.1, (-50.0, 50.0))
+    return gr.gen_location(n, "linear:2:1", noise, seed)
+
+
+@pytest.mark.parametrize("name,method,pinned", [
+    ("triweight", None, "c9e62a75527d5a4c98ca49e2"),
+    ("epanechnikov", None, "b0eed00b2e149b528977d341"),
+    ("cauchy", None, "0cfc14742776a1e1ee66d62b"),
+    ("gaussian", None, "6f9057ae329dc33c38a90b3a"),
+    ("laplace", None, "e9e56ea6107dba114a382241"),
+    ("cosine", None, "10986c1b0058bf7c890a002a"),
+    ("uniform", None, "3a99a5f92bca21179c806069"),
+    ("tricube", None, "add2d918806aa218a8e850d6"),
+    ("quartic", None, "5cdddc1426b6fa333f59a361"),
+    ("triangular", None, "4dc5fc083294356a4cf9942b"),
+    ("triweight", "gradient", "0b6c77d18daceaf5a1c3d1ca"),
+    ("epanechnikov", "gradient", "ef961526c4dda0f4ec4c50e2"),
+    ("cauchy", "gradient", "45936fc0eae00a5dab0809b7"),
+    ("gaussian", "gradient", "7905f6267d72942f42f4a25d"),
+    ("cosine", "gradient", "bb519a78899b0f6026993cba"),
+    ("quartic", "gradient", "3ae5706c2a4af59591c4af2f"),
+])
+def test_catalog_fits_keep_their_bytes(cat, name, method, pinned):
+    # The coefficients, gain trace, restart gains and iteration count of every catalog
+    # gain's fit, by its default method and by gradient ascent, on one contaminated
+    # set, taken when each stage evaluated phi and its weights or slopes in separate
+    # calls (the box gain's after its leaders took a stable sort).
+    spec = cat[name]
+    cfg = gr.default_config(spec, restarts=3, anneal=(8.0, 4.0))
+    report = gr.fit_egm(_contaminated_linear(800, 5), spec, 1.0, gr.linear_map(1),
+                        cfg if method is None else replace(cfg, method=method))
+    assert _digest(report.model.coefficients, report.gain_trace, report.restart_gains,
+                   [report.iterations]) == pinned
+
+
+def test_catalog_cv_table_keeps_its_bytes(cat):
+    spec = cat["triweight"]
+    cfg = gr.default_config(spec, restarts=3, anneal=(8.0, 4.0))
+    best, table = gr.cross_validate_sigma(_contaminated_linear(800, 5), spec,
+                                          [0.5, 1.0, 2.0, 4.0], gr.linear_map(1), cfg)
+    assert _digest([best], table) == "826edc0cad7cb410bea217cd"
 
 
 @pytest.mark.parametrize("name", [n for n in TYPE2 + ["laplace", "tricube", "triangular"]])
@@ -390,6 +465,25 @@ def _consensus_problem(n, seed):
     y = X @ [1.0, 2.0] + 0.02 * rng.standard_normal(n)
     y[: n // 3] = rng.uniform(-10.0, 10.0, n // 3)
     return X, y
+
+
+def test_grid_consensus_leads_with_the_largest_counts_then_the_lowest_index(cat, monkeypatch):
+    # At n = 50 the 4000 candidates share at most 51 counts, so ties cross the cut of 8.
+    seen = []
+    real = solver._leaders
+
+    def leaders(counts, k):
+        top = real(counts, k)
+        seen.append((counts.copy(), top))
+        return top
+
+    monkeypatch.setattr(solver, "_leaders", leaders)
+    X, y = _consensus_problem(50, 64)
+    solver._grid_consensus(X, y, cat["uniform"], 0.1, gr.SolverConfig(method="grid_consensus"))
+    ((counts, top),) = seen
+    reference = sorted(range(counts.size), key=lambda i: (-counts[i], i))
+    assert top.tolist() == reference[:8]
+    assert counts[reference[7]] == counts[reference[8]]  # a tie the cut splits
 
 
 def test_grid_consensus_block_size_moves_no_bit(cat, monkeypatch):
