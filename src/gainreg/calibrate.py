@@ -29,25 +29,20 @@ from .errors import (
     UnsupportedOperationError,
 )
 from .gains import DECLARED_HEADROOM, GainSpec, eval_gain
-from .quadrature import (
-    CONVERGENCE_TOL,
-    QuadratureConfig,
-    gauss_legendre_rule,
-    integrate_checked,
-    nodes_weights,
-)
+from .quadrature import CONVERGENCE_TOL, QuadratureConfig, gauss_legendre_rule, integrate
 from .simulate import LocationProblem
 
 # Grid points of the finite-difference supremum searches behind the Lipschitz estimates.
 _LIPSCHITZ_GRID = 200_001
 # Cosine quadrature of an unbounded gain without a closed form runs over this many sigmas.
 _FOURIER_HALF_WIDTH = 40.0
-# First and last node counts of the doubling cosine quadrature of a transform.
-_FOURIER_NODES = (256, 2**14)
 # Rows of cosines per block of a quadrature transform: at most 2 MiB, at the 2^14-node
-# ceiling, to stay in a core's L2 cache.  Under OpenBLAS, blocks of 4 to 128 rows give
+# rule, to stay in a core's L2 cache.  Under OpenBLAS, blocks of 4 to 128 rows give
 # each row the bits of one whole-grid product; blocks of 2 rows do not.
 _FOURIER_BLOCK = 16
+# Absolute part of a gap's tolerance (a calibration gap's per unit of its integral): a gap
+# at rounding level settles there, far below the sandwich's 1e-9 slack.
+_GAP_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
@@ -200,9 +195,7 @@ def population_gain(
     def integrand(e: np.ndarray) -> np.ndarray:
         return eval_gain(spec, sigma, e - delta) * prob.noise_density(e)
 
-    return integrate_checked(
-        integrand, lo, hi, quad, breakpoints=[*bps, *prob.noise_breakpoints]
-    )
+    return integrate(integrand, lo, hi, _unit_tol, [*bps, *prob.noise_breakpoints])
 
 
 def calibration_gap(
@@ -211,7 +204,9 @@ def calibration_gap(
     """Scaled excess-gain mismatch: sigma^2 [G(0) - G(delta)] - c0 delta^2.
 
     The theory predicts |gap| <= c_eps * sigma^(-theta) with theta the
-    effective moment order, so the gap must vanish as sigma grows.
+    effective moment order, so the gap must vanish as sigma grows.  The
+    quadrature checks the gap itself, after the cancellation, to
+    max(1e-6 |gap|, 1e-12 max(1, |sigma^2 [G(0) - G(delta)]|)).
     """
     if spec.calibration == "none":
         raise UnsupportedOperationError(
@@ -223,17 +218,18 @@ def calibration_gap(
             f"sigma = {sigma} is below the calibration threshold max(2M, 1) = {threshold}"
         )
     delta = prob.offset
-    c0 = spec.constants.c0
+    c0d2 = spec.constants.c0 * delta**2
     lo, hi, bps = _gap_windows(spec, sigma, delta, prob.noise_scale, quad.half_width)
 
     def integrand(e: np.ndarray) -> np.ndarray:
         diff = eval_gain(spec, sigma, e) - eval_gain(spec, sigma, e - delta)
         return sigma**2 * diff * prob.noise_density(e)
 
-    scaled = integrate_checked(
-        integrand, lo, hi, quad, breakpoints=[*bps, *prob.noise_breakpoints]
-    )
-    return scaled - c0 * delta**2
+    def tol(scaled: float) -> float:
+        return max(CONVERGENCE_TOL * abs(scaled - c0d2), _GAP_FLOOR * max(1.0, abs(scaled)))
+
+    scaled = integrate(integrand, lo, hi, tol, [*bps, *prob.noise_breakpoints])
+    return scaled - c0d2
 
 
 def gap_log_slope(
@@ -242,10 +238,15 @@ def gap_log_slope(
     sigmas: Sequence[float],
     quad: QuadratureConfig,
 ) -> tuple[float, list[float]]:
-    """Least-squares slope of log |gap| against log sigma."""
+    """Least-squares slope of log |gap| against log sigma, and the gaps as computed.
+
+    Each |gap| is floored at its absolute tolerance (see ``calibration_gap``) before
+    the log: below it a gap is rounding noise, and a gap of exactly 0 has no log.
+    """
     gaps = [calibration_gap(spec, s, prob, quad) for s in sigmas]
+    c0d2 = spec.constants.c0 * prob.offset**2
     xs = np.log(np.asarray(sigmas, dtype=float))
-    ys = np.log(np.abs(np.asarray(gaps, dtype=float)))
+    ys = np.log([max(abs(g), _GAP_FLOOR * max(1.0, abs(g + c0d2))) for g in gaps])
     slope = float(np.polyfit(xs, ys, 1)[0])
     return slope, gaps
 
@@ -263,8 +264,13 @@ def mde_distance(prob: LocationProblem, quad: QuadratureConfig) -> float:
     def integrand(t: np.ndarray) -> np.ndarray:
         return (prob.noise_density(t + delta) - prob.noise_density(t)) ** 2
 
-    value = integrate_checked(integrand, -w, w, quad, breakpoints=bps)
+    value = integrate(integrand, -w, w, _unit_tol, bps)
     return math.sqrt(max(value, 0.0))
+
+
+def _unit_tol(value: float) -> float:
+    """Tolerance of a population gain or squared density distance: 1e-6 max(1, |value|)."""
+    return CONVERGENCE_TOL * max(1.0, abs(value))
 
 
 def gain_mass(spec: GainSpec, sigma: float) -> float:
@@ -299,11 +305,9 @@ def fourier_transform(spec: GainSpec, sigma: float, xi: np.ndarray) -> np.ndarra
     The spec's closed form when it has one; otherwise direct cosine quadrature
     over the exact support of a compact gain, or over ``40 * sigma`` for an
     unbounded one whose tail is negligible there (see ``_window``).  The
-    quadrature starts from 256 nodes and doubles them until two successive
-    transforms agree within ``CONVERGENCE_TOL`` of the largest ``|value|``, and
-    returns the finer one; a transform that has not settled by 2^14 nodes raises
-    ``PrecisionFailureError``.  The transform is even, so each pass runs once per
-    distinct ``|xi|``, block by block through one buffer.
+    quadrature is ``integrate``'s, checked to ``CONVERGENCE_TOL`` of the largest
+    ``|value|``.  The transform is even, so each pass runs once per distinct
+    ``|xi|``, block by block through one buffer.
     """
     xi = np.asarray(xi, dtype=float)
     if not np.all(np.isfinite(xi)):
@@ -313,33 +317,23 @@ def fourier_transform(spec: GainSpec, sigma: float, xi: np.ndarray) -> np.ndarra
 
     t_max = _window(spec, sigma)
     mags, back = np.unique(np.abs(xi.ravel()), return_inverse=True)
-    nodes = _FOURIER_NODES[0]
-    coarse = _cosine_quadrature(spec, sigma, t_max, mags, nodes)
-    while nodes < _FOURIER_NODES[1]:
-        nodes *= 2
-        fine = _cosine_quadrature(spec, sigma, t_max, mags, nodes)
-        drift = np.max(np.abs(fine - coarse), initial=0.0)
-        if drift <= CONVERGENCE_TOL * np.max(np.abs(fine), initial=0.0):
-            return fine[back].reshape(xi.shape)
-        coarse = fine
-    raise PrecisionFailureError(
-        f"Fourier transform of {spec.name} did not converge: {drift:.3g} apart at {nodes} nodes"
-    )
 
+    def cosine_sum(t: np.ndarray, w: np.ndarray) -> np.ndarray:
+        pw = eval_gain(spec, sigma, t) * w
+        res = np.empty(mags.shape, dtype=float)
+        buf = np.empty((min(_FOURIER_BLOCK, mags.size), t.size))
+        for i in range(0, mags.size, _FOURIER_BLOCK):
+            block = buf[: mags.size - i]
+            np.multiply.outer(mags[i : i + _FOURIER_BLOCK], t, out=block)
+            np.cos(block, out=block)
+            res[i : i + _FOURIER_BLOCK] = block @ pw
+        return res
 
-def _cosine_quadrature(
-    spec: GainSpec, sigma: float, t_max: float, mags: np.ndarray, nodes: int
-) -> np.ndarray:
-    t, w = nodes_weights(-t_max, t_max, nodes, [0.0])
-    pw = eval_gain(spec, sigma, t) * w
-    res = np.empty(mags.shape, dtype=float)
-    buf = np.empty((min(_FOURIER_BLOCK, mags.size), t.size))
-    for i in range(0, mags.size, _FOURIER_BLOCK):
-        block = buf[: mags.size - i]
-        np.multiply.outer(mags[i : i + _FOURIER_BLOCK], t, out=block)
-        np.cos(block, out=block)
-        res[i : i + _FOURIER_BLOCK] = block @ pw
-    return res
+    def tol(value: np.ndarray) -> float:
+        return CONVERGENCE_TOL * np.max(np.abs(value), initial=0.0)
+
+    fine = integrate(cosine_sum, -t_max, t_max, tol, [0.0], summed=True)
+    return fine[back].reshape(xi.shape)
 
 
 @dataclass(frozen=True)
@@ -407,6 +401,10 @@ def sandwich_check(
     if spec.constants is not None:
         upper_c = 2.0 * p(0.0) * spec.constants.L1 / sigma
 
+    def gap_tol(value: float) -> float:
+        # max(1e-6 |gap|, _GAP_FLOOR) for the gap, c_norm times the integral ``value``.
+        return max(CONVERGENCE_TOL * abs(value), _GAP_FLOOR / c_norm)
+
     rows = []
     passed = True
     for delta in delta_grid:
@@ -417,13 +415,8 @@ def sandwich_check(
             pe = p(e)
             return (pe - p(e - d)) * pe
 
-        gap = c_norm * integrate_checked(
-            integrand,
-            lo_w,
-            hi_w,
-            quad,
-            breakpoints=[0.0, delta, -t_max, t_max, delta - t_max, delta + t_max],
-        )
+        bps = [0.0, delta, -t_max, t_max, delta - t_max, delta + t_max]
+        gap = c_norm * integrate(integrand, lo_w, hi_w, gap_tol, bps)
         lower = lower_c * delta**2
         upper = None if upper_c is None else upper_c * delta**2
         slack = 1e-9 * max(1.0, delta**2)
@@ -460,8 +453,10 @@ def _row(
 def certify_gain(spec: GainSpec, quad: QuadratureConfig) -> list[dict]:
     """Rows for the certification CSV: one per applicable check.
 
-    No check here reads ``quad``; it stays for callers that pass it, such as
-    perfbench's certify workload.
+    The axioms row's mass is ``gain_mass``, a transform that needs no truncation
+    window, so no check here reads ``quad``; it stays for callers that pass it,
+    such as perfbench's certify workload.  Every integral a row reports is
+    checked by ``integrate``'s node doubling at its own tolerance.
     """
     axioms = check_gain_axioms(spec)
     rows = [

@@ -255,7 +255,7 @@ def cmd_eval(args) -> int:
 
 def cmd_certify(args) -> int:
     specs = [_gain(args.gain)] if args.gain else list(catalog().values())
-    quad = QuadratureConfig(half_width=args.half_width, nodes=args.nodes)
+    quad = QuadratureConfig(half_width=args.half_width)
     rows = []
     for spec in specs:
         rows += certify_gain(spec, quad)
@@ -456,7 +456,6 @@ def build_parser() -> _Parser:
     p.add_argument("--gain", default=None)
     p.add_argument("--out", default=None)
     p.add_argument("--half-width", type=float, default=40.0)
-    p.add_argument("--nodes", type=int, default=4096)
     p.add_argument("--sandwich", action="store_true",
                    help="also run the two-sided quadratic bound check")
     p.set_defaults(fn=cmd_certify)

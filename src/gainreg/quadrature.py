@@ -1,10 +1,12 @@
-"""One-dimensional quadrature used by the certification suite.
+"""One-dimensional quadrature, checked at the scale of the quantity it reports.
 
-The rule is composite Gauss-Legendre; ``breakpoints`` let callers
-align panel edges with kinks (support boundaries, density jumps) so the
-integrand stays smooth inside each panel.  ``integrate_checked`` repeats the
-computation with doubled node count and raises when the two disagree, which
-is the convergence diagnostic every reported quantity relies on.
+The rule is composite Gauss-Legendre; ``breakpoints`` let callers align panel
+edges with kinks (support boundaries, density jumps) so the integrand stays
+smooth inside each panel.  ``integrate`` is the only quadrature path: it starts
+from a 256-node rule and doubles it until two successive passes agree within a
+tolerance the caller states for the value it reports, and raises
+``PrecisionFailureError`` when the 2^14-node pass has still not settled.  That
+convergence check is the diagnostic every reported quantity relies on.
 """
 
 from __future__ import annotations
@@ -18,19 +20,17 @@ import numpy as np
 from .errors import InvalidParameterError, PrecisionFailureError
 
 _GL_ORDER = 16
+_NODES = tuple(2**k for k in range(8, 15))  # the doubling rule's passes, 256 to 2^14 nodes
 CONVERGENCE_TOL = 1e-6
 
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Truncation half-width (in scale units) and node budget."""
+    """Truncation half-width, in scale units, of integrals over unbounded windows."""
 
     half_width: float = 40.0
-    nodes: int = 4096
 
     def __post_init__(self) -> None:
-        if self.nodes < 64:
-            raise InvalidParameterError(f"nodes must be >= 64, got {self.nodes}")
         # At least 10 to cover unbounded integrands; at most the 1e50 scale units
         # within which gains are evaluated, where their arithmetic stays finite.
         if not (10.0 <= self.half_width <= 1e50):
@@ -75,35 +75,30 @@ def nodes_weights(
 
 
 def integrate(
-    fn: Callable[[np.ndarray], np.ndarray],
-    a: float,
-    b: float,
-    cfg: QuadratureConfig,
-    breakpoints: Iterable[float] = (),
-) -> float:
-    """Integrate a vectorized function over [a, b] with composite Gauss-Legendre."""
+    fn: Callable, a: float, b: float, tol: Callable, breakpoints: Iterable[float] = (), summed=False
+):
+    """Integrate ``fn`` over [a, b], doubling the rule until two passes agree.
+
+    Each pass is the weighted sum of ``fn``'s values at the nodes; with ``summed``,
+    ``fn(nodes, weights)`` returns that sum itself, which lets a vector-valued
+    integral be evaluated block by block.  The passes run from 256 to 2^14 nodes
+    and stop at the first whose drift from the one before is at most ``tol(value)``,
+    the bound the caller states for that pass's value; the drift of a vector is its
+    largest entry's.  That pass is returned, a Python float for a scalar integral.
+    """
     if not b > a:
         raise InvalidParameterError(f"empty integration interval [{a}, {b}]")
-    x, w = nodes_weights(a, b, cfg.nodes, breakpoints)
-    vals = np.asarray(fn(x), dtype=float)
-    if not np.all(np.isfinite(vals)):
-        raise PrecisionFailureError("integrand returned non-finite values")
-    return float(vals @ w)
-
-
-def integrate_checked(
-    fn: Callable[[np.ndarray], np.ndarray],
-    a: float,
-    b: float,
-    cfg: QuadratureConfig,
-    breakpoints: Iterable[float] = (),
-) -> float:
-    """Integrate, then re-integrate with doubled nodes; raise if they disagree."""
-    coarse = integrate(fn, a, b, cfg, breakpoints)
-    fine_cfg = QuadratureConfig(cfg.half_width, 2 * cfg.nodes)
-    fine = integrate(fn, a, b, fine_cfg, breakpoints)
-    if abs(fine - coarse) > CONVERGENCE_TOL * max(1.0, abs(fine)):
-        raise PrecisionFailureError(
-            f"quadrature did not converge: {coarse!r} vs {fine!r} after node doubling"
-        )
-    return fine
+    bps, coarse = tuple(breakpoints), None
+    for nodes in _NODES:
+        x, w = nodes_weights(a, b, nodes, bps)
+        fine = fn(x, w) if summed else float(np.asarray(fn(x), dtype=float) @ w)
+        if not np.all(np.isfinite(fine)):
+            raise PrecisionFailureError("integrand returned non-finite values")
+        if coarse is not None:
+            drift = float(np.max(np.abs(fine - coarse), initial=0.0))
+            if drift <= tol(fine):
+                return fine
+        coarse = fine
+    raise PrecisionFailureError(
+        f"quadrature did not converge: passes {drift:.3g} apart at {nodes} nodes"
+    )

@@ -17,7 +17,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import InvalidInputError, InvalidParameterError, UnsupportedOperationError
-from .quadrature import QuadratureConfig, integrate
+from .quadrature import integrate
 from .rng import generator
 
 GAUSSIAN_MIXTURE = "gaussian_mixture"
@@ -320,12 +320,12 @@ def _density_mass(
     scale: float,
     breakpoints: Sequence[float],
 ) -> float:
-    # Geometric windows handle power-law tails: one panel family per decade.
+    # Geometric windows handle power-law tails: one panel family per decade.  The mass
+    # is checked to a hundredth of the tolerance it is then held to.
     edges = [scale * 10.0**k for k in range(0, 7)]
     bps = sorted({*breakpoints, *(e for e in edges), *(-e for e in edges)})
-    cfg = QuadratureConfig(half_width=20.0, nodes=8192)
     w = edges[-1]
-    return integrate(density, -w, w, cfg, breakpoints=bps)
+    return integrate(density, -w, w, lambda _: 1e-2 * DENSITY_NORM_TOL, bps)
 
 
 def location_problem(

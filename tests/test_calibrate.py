@@ -64,8 +64,9 @@ def constant_probe() -> GainSpec:
 
 
 def test_quadrature_config_invariants():
-    with pytest.raises(InvalidParameterError):
-        gr.QuadratureConfig(nodes=32)
+    # The node count is integrate's own doubling, not a setting.
+    with pytest.raises(TypeError, match="nodes"):
+        gr.QuadratureConfig(nodes=4096)
     with pytest.raises(InvalidParameterError):
         gr.QuadratureConfig(half_width=5.0)
 
@@ -260,10 +261,19 @@ def test_fourier_transform_mixture_analytic_matches_oracle():
 def test_gauss_legendre_basic_accuracy():
     from gainreg.quadrature import integrate
 
-    cfg_gl = gr.QuadratureConfig(nodes=128)
-    assert integrate(lambda t: np.exp(t), -1.0, 2.0, cfg_gl) == pytest.approx(
-        float(np.exp(2) - np.exp(-1)), rel=1e-13
-    )
+    want = float(np.exp(2) - np.exp(-1))
+    x, w = nodes_weights(-1.0, 2.0, 128, ())
+    assert float(np.exp(x) @ w) == pytest.approx(want, rel=1e-13)
+    # A smooth integrand settles at the first doubling, 256 then 512 nodes.
+    sizes = []
+
+    def exp(t):
+        sizes.append(t.size)
+        return np.exp(t)
+
+    got = integrate(exp, -1.0, 2.0, lambda v: 1e-6 * abs(v))
+    assert type(got) is float and got == pytest.approx(want, rel=1e-13)
+    assert sizes == [256, 512]
 
 
 def test_population_gain_even_in_offset(cat, quad):
@@ -326,6 +336,22 @@ def test_gap_scaled_by_sigma_sq_bounded_for_strong_gains(cat, quad):
         assert abs(scaled[-1] - scaled[-2]) < 0.05 * scaled[-1], name
 
 
+def test_gap_log_slope_floors_each_gap_at_its_tolerance(cat, quad, monkeypatch):
+    # A gap of exactly 0 once took log 0: NaN and a RuntimeWarning, which pytest turns
+    # into an error.  |gap| is floored at 1e-12 max(1, |sigma^2 [G(0) - G(delta)]|).
+    spec, sigmas = cat["gaussian"], [4.0, 8.0, 16.0, 32.0, 64.0]
+    prob = gr.location_problem(gr.NoiseSpec.gaussian(0.0, 1.0), 1.0, 1.0)
+    real = calibrate.calibration_gap
+    monkeypatch.setattr(calibrate, "calibration_gap",
+                        lambda sp, s, p, q: 0.0 if s == 32.0 else real(sp, s, p, q))
+    slope, gaps = gr.gap_log_slope(spec, prob, sigmas, quad)
+    assert gaps[3] == 0.0 and all(g < 0 for g in gaps[:3] + gaps[4:])
+    floors = [1e-12 * max(1.0, abs(g + spec.constants.c0)) for g in gaps]
+    ys = np.log(np.maximum(np.abs(gaps), floors))
+    assert slope == float(np.polyfit(np.log(sigmas), ys, 1)[0])
+    assert math.isfinite(slope) and slope < 0
+
+
 def test_gap_decay_epanechnikov_student_t(cat, quad):
     # Measured decay is one power faster than the moment-order bound because
     # symmetric noise cancels the first-order tail term; frozen mpmath oracle.
@@ -353,23 +379,106 @@ def test_mde_examples(quad):
     assert d2 > d1 > 0.0
 
 
-def test_quadrature_convergence_under_doubling(cat):
+def _fixed_rule(nodes):
+    """``integrate`` replaced by one pass of a fixed rule, with the same arguments."""
+
+    def integrate(fn, a, b, tol, breakpoints=(), summed=False):
+        x, w = nodes_weights(a, b, nodes, breakpoints)
+        return fn(x, w) if summed else float(fn(x) @ w)
+
+    return integrate
+
+
+def test_quadrature_convergence_under_doubling(cat, quad, monkeypatch):
     noise = gr.NoiseSpec.student_t(2.5)
     prob = gr.location_problem(noise, 1.0, 1.0)
-    coarse = gr.QuadratureConfig(nodes=2048)
-    fine = gr.QuadratureConfig(nodes=4096)
     for name in ("gaussian", "epanechnikov"):
-        a = gr.calibration_gap(cat[name], 8.0, prob, coarse)
-        b = gr.calibration_gap(cat[name], 8.0, prob, fine)
-        assert abs(a - b) < 1e-6
+        got = gr.calibration_gap(cat[name], 8.0, prob, quad)
+        with monkeypatch.context() as patch:
+            fixed = []
+            for nodes in (2048, 4096):
+                patch.setattr(calibrate, "integrate", _fixed_rule(nodes))
+                fixed.append(gr.calibration_gap(cat[name], 8.0, prob, quad))
+        assert abs(fixed[0] - fixed[1]) < 1e-6
+        assert abs(got - fixed[1]) < 1e-6
 
 
-def test_integrate_checked_raises_on_rough_integrand():
-    from gainreg.quadrature import integrate_checked
+def test_integrate_raises_when_no_pass_settles():
+    from gainreg.quadrature import integrate
 
-    cfg = gr.QuadratureConfig(nodes=64)
-    with pytest.raises(PrecisionFailureError):
-        integrate_checked(lambda t: np.cos(3000.0 * t**2), 0.0, 10.0, cfg)
+    # Oscillations far finer than a panel of the 2^14-node rule.
+    with pytest.raises(PrecisionFailureError, match="did not converge.*16384 nodes"):
+        integrate(lambda t: np.cos(3000.0 * t**2), 0.0, 10.0, lambda v: 1e-6 * max(1.0, abs(v)))
+
+
+REFERENCE_NOISES = [gr.NoiseSpec.gaussian(0.0, 1.0), gr.NoiseSpec.student_t(2.5),
+                    gr.NoiseSpec.student_t(5.0)]
+REFERENCE_GAINS = ["triweight", "epanechnikov", "cauchy", "gaussian", "cosine",
+                   gr.generalized_tukey(2, 5), gr.mixture_gain([(0.3, 0.5), (0.7, 1.5)])]
+
+
+def _reference(monkeypatch, module, compute):
+    """``compute()`` with every ``integrate`` of ``module`` one pass of the 2^16-node rule."""
+    with monkeypatch.context() as patch:
+        patch.setattr(module, "integrate", _fixed_rule(2**16))
+        return compute()
+
+
+@pytest.mark.parametrize("spec", REFERENCE_GAINS,
+                         ids=[s if isinstance(s, str) else s.name for s in REFERENCE_GAINS])
+def test_reported_quantities_agree_with_the_2_16_node_rule(cat, quad, monkeypatch, spec):
+    # Each quantity to the tolerance stated for it, in the units it is reported in.
+    spec = cat[spec] if isinstance(spec, str) else spec
+    c0 = spec.constants.c0
+    for noise in REFERENCE_NOISES:
+        prob = gr.location_problem(noise, 1.0, 1.0)
+        for sigma in (4.0, 16.0, 64.0):
+            got = gr.calibration_gap(spec, sigma, prob, quad)
+            want = _reference(monkeypatch, calibrate,
+                              lambda: gr.calibration_gap(spec, sigma, prob, quad))
+            assert type(got) is float
+            assert abs(got - want) <= max(1e-6 * abs(want), 1e-12 * max(1.0, abs(want + c0)))
+        for sigma in (0.5, 2.0):
+            got = gr.population_gain(spec, sigma, prob, quad)
+            want = _reference(monkeypatch, calibrate,
+                              lambda: gr.population_gain(spec, sigma, prob, quad))
+            assert type(got) is float and abs(got - want) <= 1e-6 * max(1.0, abs(want))
+
+    deltas = (-1.0, -0.5, -0.1, 0.1, 0.5, 1.0)
+    got = gr.sandwich_check(spec, 1.0, 1.0, deltas, quad)
+    want = _reference(monkeypatch, calibrate,
+                      lambda: gr.sandwich_check(spec, 1.0, 1.0, deltas, quad))
+    assert [r.ok for r in got.rows] == [r.ok for r in want.rows]
+    for g, w in zip(got.rows, want.rows):
+        assert type(g.gap) is float and abs(g.gap - w.gap) <= max(1e-6 * abs(w.gap), 1e-12)
+
+    mass = gain_mass(spec, 1.3)
+    assert type(mass) is float
+    assert abs(mass - _reference(monkeypatch, calibrate, lambda: gain_mass(spec, 1.3))) <= (
+        1e-6 * mass
+    )
+    xi = np.linspace(-3.0, 3.0, 13)
+    got = gr.fourier_transform(spec, 1.3, xi)
+    want = _reference(monkeypatch, calibrate, lambda: gr.fourier_transform(spec, 1.3, xi))
+    assert np.max(np.abs(got - want)) <= 1e-6 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("noise", [*REFERENCE_NOISES, gr.NoiseSpec.symmetric_pareto(2.5),
+                                   gr.NoiseSpec.gaussian_mixture([(0.5, -1.0, 2.5),
+                                                                  (0.5, 1.0, 0.5)])])
+def test_density_mass_and_mde_agree_with_the_2_16_node_rule(quad, monkeypatch, noise):
+    from gainreg import simulate
+
+    args = (noise.density, noise.scale_hint(), noise.density_breakpoints())
+    got = simulate._density_mass(*args)
+    want = _reference(monkeypatch, simulate, lambda: simulate._density_mass(*args))
+    # Checked to a hundredth of the 1e-8 the mass is then held to.
+    assert type(got) is float and abs(got - want) <= 1e-10
+    for delta in (0.5, 1.0):
+        prob = gr.location_problem(noise, delta, 1.0)
+        got = gr.mde_distance(prob, quad)
+        want = _reference(monkeypatch, calibrate, lambda: gr.mde_distance(prob, quad))
+        assert type(got) is float and abs(got**2 - want**2) <= 1e-6 * max(1.0, want**2)
 
 
 def test_fourier_transform_epanechnikov_closed_form(cat):

@@ -194,7 +194,7 @@ def test_certify_writes_the_calibrate_rows(tmp_path):
 
     out = tmp_path / "c.csv"
     assert run("certify", "--gain", "cauchy", "--sandwich", "--out", str(out)) == 0
-    spec, quad = gr.catalog()["cauchy"], gr.QuadratureConfig(half_width=40.0, nodes=4096)
+    spec, quad = gr.catalog()["cauchy"], gr.QuadratureConfig(half_width=40.0)
     sandwich = gr.sandwich_check(spec, 1.0, 1.0, (-1.0, -0.5, -0.1, 0.1, 0.5, 1.0), quad)
     keys = ["gain", "check", "passed", "estimated", "declared", "max_violation", "note"]
     expected = [["gain", "check", "status", *keys[3:]]] + [
@@ -208,6 +208,14 @@ def test_certify_writes_the_calibrate_rows(tmp_path):
         "cauchy", "sandwich", "pass", f"C={sandwich.lower_constant:.6g}",
         f"C'={sandwich.upper_constant:.6g}", "0.0", "two-sided quadratic bounds at sigma=1, M=1",
     ]
+
+
+def test_certify_has_no_nodes_flag(tmp_path):
+    # The quadrature doubles its own rule, so a node count is an unknown flag.
+    proc = run_process("certify", "--nodes", "100", "--out", "c.csv", cwd=tmp_path)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.startswith("usage error") and "--nodes" in proc.stderr
+    assert "Traceback" not in proc.stderr and not (tmp_path / "c.csv").exists()
 
 
 def test_bench_toy_row_count_and_determinism(tmp_path):

@@ -3,9 +3,8 @@
 Outside input may end in any exit code of the contract (0 success, 1 usage,
 2 runtime, 3 certification) but never in an exception; pytest turns a
 RuntimeWarning into one.  A ``--config`` file reaches the same flags.  Sizes stay small (n <= 50; at most 20 iterations,
-restarts and folds, at most 3 for the benchmarks; ``--nodes`` from the small
-values) so the module runs in a few seconds, although each ``bench toy``
-example forks its workers.
+restarts and folds, at most 3 for the benchmarks) so the module runs in a few seconds,
+although each ``bench toy`` example forks its workers.
 """
 
 import contextlib
@@ -164,12 +163,8 @@ def _cap(draws, flags, top):
             draws[flag] = str(top)
 
 
-# --nodes below 64 is rejected; these keep some examples above it without a large count.
-NODES = st.one_of(VALUES, st.sampled_from(["64", "100", "256", "1000"]))
-
-
 @settings(max_examples=25)
-@given(draws=st.fixed_dictionaries({}, optional={"--half-width": VALUES, "--nodes": NODES}),
+@given(draws=st.fixed_dictionaries({}, optional={"--half-width": VALUES}),
        gain=st.sampled_from(["gaussian", "cauchy", "uniform", "laplace", "tricube", "nosuch",
                              None]),
        sandwich=st.booleans())
