@@ -244,18 +244,19 @@ def _gain(name: str) -> GainSpec:
 
 def cmd_eval(args) -> int:
     spec = _gain(args.gain)
-    value = eval_gain(spec, args.sigma, args.t)
-    print(f"gain {_fmt(value)}")
+    values = {"gain": eval_gain(spec, args.sigma, args.t)}  # all before any output
     if args.derivative:
-        print(f"derivative {_fmt(eval_gain_derivative(spec, args.sigma, args.t))}")
+        values["derivative"] = eval_gain_derivative(spec, args.sigma, args.t)
     if args.loss:
-        print(f"loss {_fmt(loss_from_gain(spec, args.sigma, args.t))}")
+        values["loss"] = loss_from_gain(spec, args.sigma, args.t)
+    for label, value in values.items():
+        print(f"{label} {_fmt(value)}")
     return EXIT_OK
 
 
 def cmd_certify(args) -> int:
     specs = [_gain(args.gain)] if args.gain else list(catalog().values())
-    quad = QuadratureConfig(half_width=args.half_width)
+    quad = QuadratureConfig()
     rows = []
     for spec in specs:
         rows += certify_gain(spec, quad)
@@ -455,7 +456,6 @@ def build_parser() -> _Parser:
     p = sub.add_parser("certify", help="run the certification checks")
     p.add_argument("--gain", default=None)
     p.add_argument("--out", default=None)
-    p.add_argument("--half-width", type=float, default=40.0)
     p.add_argument("--sandwich", action="store_true",
                    help="also run the two-sided quadratic bound check")
     p.set_defaults(fn=cmd_certify)

@@ -21,7 +21,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Optional, Sequence
+from functools import partial
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -186,6 +187,16 @@ def _rank_basis(X: np.ndarray) -> Optional[np.ndarray]:
     return vt[:r].copy().T if 0 < r < p else None
 
 
+class _Stage(NamedTuple):
+    """One stage's outcome: its coefficients, iterations and convergence, and every gain
+    it reached, in order, so ``trace[-1]`` is the gain of ``coeffs``."""
+
+    coeffs: np.ndarray
+    iterations: int
+    converged: bool
+    trace: list[float]
+
+
 def _irls_stage(
     X: np.ndarray,
     y: np.ndarray,
@@ -193,24 +204,19 @@ def _irls_stage(
     spec: GainSpec,
     sigma: float,
     cfg: SolverConfig,
-    trace: list[float],
     features: int,
-) -> tuple[np.ndarray, int, bool]:
-    """Reweighted least squares at a fixed scale; returns (coeffs, iters, converged).
+) -> _Stage:
+    """Reweighted least squares at a fixed scale.
 
     The spec and sigma are checked once; each residual vector gets one checked
     pass for its mean gain and the weights of the next solve, and every solve
-    forms X w in one buffer.  Every gain goes onto ``trace``, so its last entry is
-    the gain of the returned coefficients.
+    forms X w in one buffer.
     """
     weigh = gain_weigher(spec, sigma)
     xw = np.empty_like(X)
     gain, w = weigh(y - X @ coeffs)
-    trace.append(gain)
-    converged = False
-    iters = 0
-    for _ in range(cfg.max_iters):
-        iters += 1
+    trace = [gain]
+    for iters in range(1, cfg.max_iters + 1):
         top = w.max()
         if not (top > 0.0):
             raise DegenerateIterateError(
@@ -225,11 +231,9 @@ def _irls_stage(
         new_gain, w = weigh(y - X @ coeffs)
         trace.append(new_gain)
         if abs(new_gain - gain) <= cfg.tol * max(1.0, abs(gain)):
-            gain = new_gain
-            converged = True
-            break
+            return _Stage(coeffs, iters, True, trace)
         gain = new_gain
-    return coeffs, iters, converged
+    return _Stage(coeffs, cfg.max_iters, False, trace)
 
 
 def _gradient_stage(
@@ -239,9 +243,7 @@ def _gradient_stage(
     spec: GainSpec,
     sigma: float,
     cfg: SolverConfig,
-    trace: list[float],
-    features: int,
-) -> tuple[np.ndarray, int, bool]:
+) -> _Stage:
     """Backtracking ascent from two-point steps; accepted steps never decrease the gain.
 
     The first step is ``_STEP_INIT``.  Each later one starts from the Barzilai-Borwein
@@ -251,11 +253,9 @@ def _gradient_stage(
     leave the range a gain accepts (1e50 sigma) counts as a fall; the stage's starting
     residuals raise.  Each candidate's residuals get one pass, for their mean gain, and
     the accepted candidate's slopes are finished from it for the next gradient.  The
-    starting gain and each accepted step's gain go onto ``trace``, so its last entry is
-    the gain of the returned coefficients.  ``features`` matches the reweighting stage's
-    signature; a gradient step has no ridge.  A start with no residual inside a compact
-    support has a zero gradient, so it raises ``DegenerateIterateError``, as a
-    reweighting stage does when its weights vanish.
+    trace holds the starting gain and each accepted step's gain.  A start with no
+    residual inside a compact support has a zero gradient, so it raises
+    ``DegenerateIterateError``, as a reweighting stage does when its weights vanish.
     """
     evaluate = gain_sloper(spec, sigma)
     gain, slope = evaluate(y - X @ coeffs)
@@ -264,22 +264,17 @@ def _gradient_stage(
             f"no residual inside the gain's support at sigma = {sigma}; "
             "increase sigma or anneal from a larger scale"
         )
-    trace.append(gain)
+    trace = [gain]
     step = _STEP_INIT
     move = last_grad = None
-    converged = False
-    iters = 0
-    for _ in range(cfg.max_iters):
-        iters += 1
+    for iters in range(1, cfg.max_iters + 1):
         grad = -(X.T @ slope()) / len(y)
         if grad.dot(grad) == 0.0:  # np.linalg.norm(grad) == 0.0
-            converged = True
-            break
+            return _Stage(coeffs, iters, True, trace)
         if move is not None:
             curvature = -float(move @ (grad - last_grad))
             step = float(move @ move) / curvature if curvature > 0.0 else step / _STEP_SHRINK
             step = min(step, 1e9 * _STEP_INIT)  # keeps the step finite
-        accepted = False
         for _ in range(_MAX_STEP_HALVINGS):
             candidate = coeffs + step * grad
             try:
@@ -287,20 +282,17 @@ def _gradient_stage(
             except InvalidInputError:
                 cand_gain = -math.inf
             if cand_gain >= gain:
-                accepted = True
                 break
             step *= _STEP_SHRINK
-        if not accepted:
-            converged = True
-            break
+        else:  # no step kept the gain
+            return _Stage(coeffs, iters, True, trace)
         improvement = cand_gain - gain
         move, last_grad = candidate - coeffs, grad
         coeffs, gain, slope = candidate, cand_gain, cand_slope
         trace.append(gain)
         if improvement <= cfg.tol * max(1.0, abs(gain)):
-            converged = True
-            break
-    return coeffs, iters, converged
+            return _Stage(coeffs, iters, True, trace)
+    return _Stage(coeffs, cfg.max_iters, False, trace)
 
 
 def _stable_at(values: np.ndarray, ordered: np.ndarray, i: int) -> float:
@@ -519,12 +511,12 @@ def fit_scales(
     if cfg.method == GRID_CONSENSUS:
         rank = p
 
-        def fit_at(sigma: float) -> tuple:
+        def fit_at(sigma: float) -> tuple[_Stage, list[float]]:
             coeffs = _grid_consensus(X, y, spec, sigma, cfg, warm)
             gain = _mean_gain(spec, sigma, y - X @ coeffs)
-            return gain, coeffs, [gain], [gain], _CONSENSUS_SWEEPS, True
+            return _Stage(coeffs, _CONSENSUS_SWEEPS, True, [gain]), [gain]
     else:
-        stage_fn = _irls_stage if cfg.method == IRLS else _gradient_stage
+        stage_fn = partial(_irls_stage, features=p) if cfg.method == IRLS else _gradient_stage
         # Without a ridge a rank-deficient system must stay singular, so the
         # full basis is kept; with one, the fit runs in Z = X V and maps back.
         basis = None if ridge_off else _rank_basis(X)
@@ -545,67 +537,61 @@ def fit_scales(
             noise = generator(cfg.seed, "restart", r).standard_normal(p)
             step = scale * noise / max(np.linalg.norm(noise), 1e-300)
             starts.append(anchor + (step if basis is None else basis.T @ step))
-        # (start index, ladder down to and including a stage) -> that stage's outcome
-        done: dict[tuple, tuple] = {}
+        # (start index, ladder down to and including a stage) -> that stage's record
+        done: dict[tuple, _Stage] = {}
 
-        def run_restarts(stages: Sequence[float], sigma: float) -> tuple[tuple, list[float]]:
-            """The best restart down the stages to sigma, and each restart's gain.  A restart that
-            degenerates (a wild one can leave every residual outside the support) scores
-            -inf; the last such error is raised if every restart degenerates."""
-            best, gains = None, []
-            for i, coeffs in enumerate(starts):
-                key, iters = (i,), 0
-                try:
-                    for stage_sigma in (*stages, sigma):
-                        key += (stage_sigma,)
-                        if key not in done:
-                            trace: list[float] = []
-                            done[key] = (*stage_fn(Z, y, coeffs, spec, stage_sigma, cfg, trace, p),
-                                         trace)
-                        coeffs, it, converged, trace = done[key]
-                        iters += it
-                except DegenerateIterateError as exc:
-                    degenerate = exc
-                    gains.append(-math.inf)
-                    continue
-                gains.append(trace[-1])
-                if best is None or trace[-1] > best[0]:
-                    best = (trace[-1], coeffs, trace, iters, converged)
-            if best is None:
-                raise degenerate
-            return best, gains
-
-        def fit_at(sigma: float) -> tuple:
+        def ladders(sigma: float):
+            """The ladders down to sigma, in the order the docstring gives."""
             stages = [s for s in sorted(cfg.anneal, reverse=True) if s > sigma]
-            try:
-                best, restart_gains = run_restarts(stages, sigma)
-            except DegenerateIterateError:
-                # Anneal down from a coarser scale, where the gain's loss nears least squares.
-                try:
-                    best, restart_gains = run_restarts(halving_ladder(8.0 * sigma, sigma, stages),
-                                                       sigma)
-                except DegenerateIterateError:
-                    # Coarser still: the first 2^k sigma (k >= 4) whose support holds every
-                    # anchor residual, so the anchor's first stage has a gradient and weights.
-                    with np.errstate(over="ignore", invalid="ignore"):
-                        far = float(np.max(np.abs(y - Z @ anchor)))
-                    top = 16.0 * sigma
-                    while not far < spec.support_radius * top and top < math.inf:
-                        top *= 2.0
-                    if not (math.isfinite(spec.support_radius) and top < math.inf):
-                        raise
-                    best, restart_gains = run_restarts(halving_ladder(top, sigma, stages), sigma)
-            gain, coeffs, trace, iters, converged = best
-            # A copy in the full basis: another scale's report may hold the same stage's result.
-            return (gain, coeffs.copy() if basis is None else basis @ coeffs, trace,
-                    restart_gains, iters, converged)
+            yield (*stages, sigma)
+            # From a coarser scale, where the gain's loss nears least squares.
+            yield (*halving_ladder(8.0 * sigma, sigma, stages), sigma)
+            # Coarser still, so the anchor's first stage has a gradient and weights.
+            with np.errstate(over="ignore", invalid="ignore"):
+                far = float(np.max(np.abs(y - Z @ anchor)))
+            top = 16.0 * sigma
+            while not far < spec.support_radius * top and top < math.inf:
+                top *= 2.0
+            if math.isfinite(spec.support_radius) and top < math.inf:
+                yield (*halving_ladder(top, sigma, stages), sigma)
+
+        def descend(i: int, ladder: tuple) -> _Stage:
+            """Restart i down the ladder, warm-starting each stage: its last stage's
+            record, with the iterations summed over the ladder."""
+            key, coeffs, iters = (i,), starts[i], 0
+            for stage_sigma in ladder:
+                key += (stage_sigma,)
+                if key not in done:
+                    done[key] = stage_fn(Z, y, coeffs, spec, stage_sigma, cfg)
+                coeffs, iters = done[key].coeffs, iters + done[key].iterations
+            return done[key]._replace(iterations=iters)
+
+        def fit_at(sigma: float) -> tuple[_Stage, list[float]]:
+            """The best restart's record on the first ladder where not every restart
+            degenerates, and each restart's gain on it: -inf for one that degenerates (a
+            wild start can leave every residual outside the support)."""
+            for ladder in ladders(sigma):
+                records = []
+                for i in range(len(starts)):
+                    try:
+                        records.append(descend(i, ladder))
+                    except DegenerateIterateError as exc:
+                        records.append(None)
+                        degenerate = exc
+                gains = [-math.inf if r is None else r.trace[-1] for r in records]
+                if any(r is not None for r in records):
+                    best = records[gains.index(max(gains))]
+                    # A copy in the full basis: another scale's report may hold this record.
+                    coeffs = best.coeffs.copy() if basis is None else basis @ best.coeffs
+                    return best._replace(coeffs=coeffs), gains
+            raise degenerate
 
     reports = []
     for sigma in sigmas:
-        gain, coeffs, trace, restart_gains, iters, converged = fit_at(sigma)
-        model = HypothesisModel(feature_map=fmap, coefficients=coeffs, M=bound, clip=clip)
-        reports.append(FitReport(model, gain, sigma, iters, tuple(trace), tuple(restart_gains),
-                                 converged, cfg.method, rank))
+        best, restart_gains = fit_at(sigma)
+        model = HypothesisModel(feature_map=fmap, coefficients=best.coeffs, M=bound, clip=clip)
+        reports.append(FitReport(model, best.trace[-1], sigma, best.iterations, tuple(best.trace),
+                                 tuple(restart_gains), best.converged, cfg.method, rank))
     return reports
 
 

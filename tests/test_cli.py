@@ -47,6 +47,14 @@ def test_eval_subcommand(capsys):
     assert run("eval", "--gain", "nope", "--sigma", "1", "--t", "0") == 1
 
 
+def test_eval_writes_nothing_when_a_requested_value_fails(capsys):
+    # The box gain has no useful derivative; its gain used to be printed before the failure.
+    assert run("eval", "--gain", "uniform", "--sigma", "2", "--t", "1", "--derivative") == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "derivative is zero almost everywhere" in captured.err
+
+
 def test_usage_errors_exit_one(capsys):
     assert run("fit", "--data", "x.csv") == 1  # missing --gain
     assert run("eval", "--gain", "gaussian", "--sigma", "-1", "--t", "0") == 1

@@ -149,9 +149,8 @@ def test_gradient_stage_evaluates_each_candidate_once(cat, monkeypatch):
     X = gr.design_matrix(gr.linear_map(1), data.inputs)
     cfg = gr.SolverConfig(method="gradient", max_iters=150, tol=1e-10)
     seen = _counting_gain_calls(monkeypatch)
-    trace = []
-    coeffs, iters, _ = solver._gradient_stage(
-        X, data.outputs, np.zeros(2), cat["laplace"], 2.0, cfg, trace, 2
+    coeffs, iters, _, trace = solver._gradient_stage(
+        X, data.outputs, np.zeros(2), cat["laplace"], 2.0, cfg
     )
     assert len(seen["derivative"]) == iters > 5
     assert len(trace) == iters + 1  # stopped by the tolerance, after an accepted step
@@ -178,9 +177,10 @@ def test_gradient_traces_are_monotone_on_every_anneal_stage(cat, monkeypatch, na
     traces = []
     real = solver._gradient_stage
 
-    def stage(X, y, coeffs, spec, sigma, cfg, trace, features):
-        traces.append(trace)
-        return real(X, y, coeffs, spec, sigma, cfg, trace, features)
+    def stage(X, y, coeffs, spec, sigma, cfg):
+        record = real(X, y, coeffs, spec, sigma, cfg)
+        traces.append(record.trace)
+        return record
 
     monkeypatch.setattr(solver, "_gradient_stage", stage)
     data = _outlier_data(lambda x: 1.5 * x - 0.5, seed=7)
@@ -205,7 +205,7 @@ def test_gradient_fits_step_back_from_residuals_past_the_gain_range(cat, name):
     X = gr.design_matrix(gr.linear_map(1), huge.inputs)
     with pytest.raises(InvalidInputError, match="1e\\+50 sigma"):
         solver._gradient_stage(X, huge.outputs, np.array([1e30, 0.0]), cat[name], 1.0,
-                               gr.SolverConfig(method="gradient"), [], 2)
+                               gr.SolverConfig(method="gradient"))
 
 
 def _digest(*arrays) -> str:
@@ -706,7 +706,7 @@ def test_a_gradient_stage_outside_a_compact_support_is_degenerate(cat):
     for name in ("tricube", "triangular"):
         with pytest.raises(DegenerateIterateError, match="no residual inside"):
             solver._gradient_stage(X, data.outputs, np.array([0.0, 100.0]), cat[name], 1.0,
-                                   cfg, [], 2)
+                                   cfg)
 
 
 def test_the_box_gain_honours_a_warm_start(cat):
@@ -961,9 +961,9 @@ def _counted_stages(monkeypatch) -> list:
     """Record the scale of every reweighting and gradient stage from here on."""
     seen = []
     for name in ("_irls_stage", "_gradient_stage"):
-        def counted(X, y, coeffs, spec, sigma, *args, _stage=getattr(solver, name)):
+        def counted(X, y, coeffs, spec, sigma, *args, _stage=getattr(solver, name), **kwargs):
             seen.append(sigma)
-            return _stage(X, y, coeffs, spec, sigma, *args)
+            return _stage(X, y, coeffs, spec, sigma, *args, **kwargs)
 
         monkeypatch.setattr(solver, name, counted)
     return seen
