@@ -28,7 +28,7 @@ from .errors import (
     PrecisionFailureError,
     UnsupportedOperationError,
 )
-from .gains import DECLARED_HEADROOM, GainSpec, eval_gain
+from .gains import DECLARED_HEADROOM, GainSpec, eval_gain, grid_sup
 from .quadrature import CONVERGENCE_TOL, QuadratureConfig, gauss_legendre_rule, integrate
 from .simulate import LocationProblem
 
@@ -111,11 +111,11 @@ def estimate_lipschitz(spec: GainSpec) -> tuple[float, float]:
     h = 1e-6
     radius = spec.support_radius
 
+    def slope(t: np.ndarray) -> np.ndarray:
+        return (psi((t + h) ** 2) - psi((t - h) ** 2)) / (2.0 * h)
+
     def l1_on(width: float) -> float:
-        t = np.linspace(h, width - h, _LIPSCHITZ_GRID)
-        slopes = (psi((t + h) ** 2) - psi((t - h) ** 2)) / (2.0 * h)
-        slopes = slopes[np.isfinite(slopes)]
-        return float(np.abs(slopes).max())
+        return grid_sup(slope, np.linspace(h, width - h, _LIPSCHITZ_GRID))
 
     if math.isfinite(radius):
         l1 = l1_on(radius)
@@ -129,10 +129,11 @@ def estimate_lipschitz(spec: GainSpec) -> tuple[float, float]:
             l1, width = wider, 2.0 * width
 
     h2 = 1e-4
-    u = np.linspace(h2, 1.0 - h2, _LIPSCHITZ_GRID // 2)
-    second = (psi(u + h2) - 2.0 * psi(u) + psi(u - h2)) / (h2 * h2)
-    second = second[np.isfinite(second)]
-    l2 = float(np.abs(second).max())
+
+    def curvature(u: np.ndarray) -> np.ndarray:
+        return (psi(u + h2) - 2.0 * psi(u) + psi(u - h2)) / (h2 * h2)
+
+    l2 = grid_sup(curvature, np.linspace(h2, 1.0 - h2, _LIPSCHITZ_GRID // 2))
     return l1, l2
 
 

@@ -35,6 +35,9 @@ SlopeKernel = Callable[[np.ndarray], tuple[np.ndarray, Callable[[], np.ndarray]]
 
 # Grid size for the supremum searches that back non-tabulated constants.
 _CONSTANT_GRID = 100_000
+# Grid points per block of a supremum sweep: a stencil's temporaries (128 KiB each)
+# stay in cache, and no call allocates whole-grid arrays that must be page-faulted in.
+_SUP_BLOCK = 2**14
 # Declared constants from searches carry this multiplicative slack so that a
 # later, finer estimate cannot legitimately exceed them; certification allows
 # an estimate the same headroom over any declared constant.
@@ -261,11 +264,21 @@ def _weights(spec: GainSpec, u: np.ndarray) -> np.ndarray:
     return np.maximum(vals, 0.0)
 
 
-def _grid_sup(fn: ArrayFn, lo: float, hi: float) -> float:
-    grid = np.linspace(lo, hi, _CONSTANT_GRID)
-    vals = np.abs(fn(grid))
-    vals = vals[np.isfinite(vals)]
-    return float(vals.max())
+def grid_sup(stencil: ArrayFn, grid: np.ndarray) -> float:
+    """The largest finite ``|stencil(x)|`` over ``grid``, swept in blocks of ``_SUP_BLOCK`` points.
+
+    Each block is a slice of ``grid``, so the stencil sees the grid's own points, and a
+    maximum is exact, so the result is bit-equal to one whole-grid sweep.  Non-finite
+    values are skipped; when no value is finite this raises ``ValueError``, as the
+    maximum of an empty array does.
+    """
+    sup = -math.inf
+    for i in range(0, grid.size, _SUP_BLOCK):
+        vals = np.abs(stencil(grid[i : i + _SUP_BLOCK]))
+        sup = max(sup, float(np.max(vals, where=np.isfinite(vals), initial=-math.inf)))
+    if sup < 0.0:
+        raise ValueError("no finite value on the grid")
+    return sup
 
 
 def _searched_constants(
@@ -280,13 +293,15 @@ def _searched_constants(
     [0, hi], L2 from differencing the analytic ``psi'`` on [0, 1).  Both carry a 1%
     declared slack so finer verification grids stay below them.
     """
-    L1 = _grid_sup(generating_deriv, 0.0, hi) * DECLARED_HEADROOM
+    L1 = grid_sup(generating_deriv, np.linspace(0.0, hi, _CONSTANT_GRID)) * DECLARED_HEADROOM
     # psi' only needs a Lipschitz bound on [0, 1); keep the stencil strictly
     # inside so a psi' jump at the support edge cannot leak in.
     h = 1e-6
-    u = np.linspace(h, 1.0 - 2.0 * h, _CONSTANT_GRID)
-    second = (representing_deriv(u + h) - representing_deriv(u - h)) / (2.0 * h)
-    L2 = float(np.abs(second[np.isfinite(second)]).max()) * DECLARED_HEADROOM
+
+    def second(u: np.ndarray) -> np.ndarray:
+        return (representing_deriv(u + h) - representing_deriv(u - h)) / (2.0 * h)
+
+    L2 = grid_sup(second, np.linspace(h, 1.0 - 2.0 * h, _CONSTANT_GRID)) * DECLARED_HEADROOM
     return _constants(L1, L2, c0)
 
 

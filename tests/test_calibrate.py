@@ -21,7 +21,7 @@ from gainreg.errors import (
     UnsupportedOperationError,
 )
 from gainreg.gains import GainSpec
-from gainreg.quadrature import gauss_legendre_rule, nodes_weights
+from gainreg.quadrature import HALF_WIDTH_RANGE, gauss_legendre_rule, nodes_weights
 
 TABLE_GAINS = ["triweight", "epanechnikov", "cauchy", "gaussian", "cosine"]
 
@@ -640,6 +640,18 @@ def test_sandwich_lower_constant_in_blocks_not_one_matrix(cat, quad):
     assert peak < 8e6
 
 
+def test_lipschitz_sweeps_in_blocks_not_whole_grids():
+    # Whole-grid sweeps held 13.9 MB of temporaries for this mixture.
+    spec = gr.mixture_gain(((0.2, 1.0), (0.3, 2.0), (0.5, 3.0)))
+    tracemalloc.start()
+    try:
+        gr.estimate_lipschitz(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6e6
+
+
 def test_gain_mass_values(cat):
     assert gain_mass(cat["cauchy"], 1.0) == pytest.approx(math.pi, rel=1e-14)
     assert gain_mass(cat["uniform"], 2.0) == pytest.approx(1.0, rel=1e-12)
@@ -745,9 +757,44 @@ def test_certify_gain_rows(cat, quad):
 
 
 def test_quadrature_half_width_stays_where_gains_are_evaluated():
-    # Integrands are evaluated at up to half_width scale units, and gains only
-    # within 1e50 of 0; beyond that their squares overflow.
-    assert gr.QuadratureConfig(half_width=1e50).half_width == 1e50
-    for half_width in (1e51, 1e300, math.inf, math.nan):
-        with pytest.raises(InvalidParameterError, match="half_width"):
+    # Integrands are evaluated at up to half_width scale units, and only up to the cap
+    # do their integrals settle or raise: past it, two passes of the doubling rule can
+    # agree on a wrong value (see the next test).
+    lo, hi = HALF_WIDTH_RANGE
+    assert (lo, hi) == (10.0, 250.0)
+    assert gr.QuadratureConfig(half_width=hi).half_width == hi
+    for half_width in (math.nextafter(hi, math.inf), 300.0, 1e50, math.inf, math.nan):
+        with pytest.raises(InvalidParameterError, match=r"half_width must lie in \[10, 250\]"):
             gr.QuadratureConfig(half_width=half_width)
+
+
+@pytest.mark.parametrize("name", ["cauchy", "gaussian", "laplace"])
+def test_quantities_at_the_half_width_cap_settle_or_raise(cat, monkeypatch, name):
+    # Only an unbounded gain's windows scale with half_width.  At the cap each quantity
+    # agrees with the 2^16-node rule to its tolerance or raises; none is silently off.
+    spec, quad = cat[name], gr.QuadratureConfig(half_width=HALF_WIDTH_RANGE[1])
+
+    def settles(compute, close):
+        try:
+            got = compute()
+        except PrecisionFailureError:
+            return
+        assert close(got, _reference(monkeypatch, calibrate, compute))
+
+    def unit_close(got, want):
+        return abs(got - want) <= 1e-6 * max(1.0, abs(want))
+
+    for noise in REFERENCE_NOISES:
+        prob = gr.location_problem(noise, 1.0, 1.0)
+        for sigma in (1.0, 4.0, 16.0, 64.0):
+            settles(lambda: gr.population_gain(spec, sigma, prob, quad), unit_close)
+        if spec.calibration != "none":
+            c0 = spec.constants.c0
+
+            def gaps_close(got, want):
+                return all(abs(g - w) <= max(1e-6 * abs(w), 1e-12 * max(1.0, abs(w + c0)))
+                           for g, w in zip(got, want))
+
+            settles(lambda: gr.gap_log_slope(spec, prob, (4.0, 8.0, 16.0, 32.0, 64.0),
+                                             quad)[1], gaps_close)
+    assert gr.sandwich_check(spec, 1.0, 1.0, (-1.0, -0.5, -0.1, 0.1, 0.5, 1.0), quad).passed

@@ -1,7 +1,7 @@
 """Catalog values, loss duals, weights, and structural gain properties."""
 
 import math
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -9,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import gainreg as gr
-from gainreg import gains
+from gainreg import calibrate, gains
 from gainreg.errors import (
     InvalidInputError,
     InvalidParameterError,
@@ -544,3 +544,69 @@ def test_a_spec_without_a_fused_kernel_takes_the_plain_functions(cat):
     assert slopes == []  # finished only when asked for
     assert slope().tobytes() == gr.eval_gain_derivative(laplace, 1.3, r).tobytes()
     assert len(slopes) == 1
+
+
+def _whole_grid_sup(stencil, grid):
+    """The reference for ``gains.grid_sup``: one sweep over the whole grid."""
+    vals = np.abs(stencil(grid))
+    return float(vals[np.isfinite(vals)].max())
+
+
+@pytest.mark.parametrize("size", [1, 100, gains._SUP_BLOCK, 3 * gains._SUP_BLOCK + 17])
+def test_grid_sup_is_the_whole_grid_supremum_bit_for_bit(size):
+    rng = np.random.default_rng(size)
+    values = rng.standard_normal(size) * 10.0 ** rng.integers(-300, 300, size)
+    if size > 1:
+        values[rng.choice(size, size // 2, replace=False)] = rng.choice(
+            [np.nan, np.inf, -np.inf], size // 2)
+    if size > 2 * gains._SUP_BLOCK:
+        values[gains._SUP_BLOCK : 2 * gains._SUP_BLOCK] = np.nan  # a block with none finite
+    grid = np.arange(size, dtype=float)
+    seen = []
+
+    def stencil(x):
+        seen.append(x)
+        return values[x.astype(np.intp)]
+
+    got = gains.grid_sup(stencil, grid)
+    assert all(x.base is grid and x.size <= gains._SUP_BLOCK for x in seen)
+    assert np.array_equal(np.concatenate(seen), grid)
+    assert got == _whole_grid_sup(stencil, grid)
+
+
+@pytest.mark.parametrize("fills", [[np.nan], [np.inf], [-np.inf], [np.nan, np.inf, -np.inf]])
+def test_grid_sup_raises_when_no_value_is_finite(fills):
+    grid = np.linspace(0.0, 1.0, gains._SUP_BLOCK + 5)
+    with pytest.raises(ValueError, match="no finite value"):
+        gains.grid_sup(lambda x: np.resize(np.array(fills), x.shape), grid)
+
+
+# The gains of perfbench's certify workload.
+CERTIFY_MIXTURES = [((0.5, 1.0), (0.5, 2.0)), ((0.3, 0.5), (0.7, 1.5)),
+                    ((0.2, 1.0), (0.3, 2.0), (0.5, 3.0))]
+CERTIFY_GAINS = [*gr.catalog().values(),
+                 *(gr.generalized_tukey(m, n) for m in range(1, 5) for n in (1, 2, 3, 5)),
+                 *(gr.mixture_gain(c) for c in CERTIFY_MIXTURES)]
+
+
+def _bits(values):
+    return [float(v).hex() for v in values]
+
+
+def test_lipschitz_estimates_are_the_whole_grid_suprema_bit_for_bit(monkeypatch):
+    specs = [s for s in CERTIFY_GAINS if s.representing_fn is not None]
+    assert len(CERTIFY_GAINS) == 29 and len(specs) == 13
+    got = [_bits(gr.estimate_lipschitz(s)) for s in specs]
+    monkeypatch.setattr(calibrate, "grid_sup", _whole_grid_sup)
+    assert got == [_bits(gr.estimate_lipschitz(s)) for s in specs]
+
+
+def test_searched_constants_are_the_whole_grid_suprema_bit_for_bit(monkeypatch):
+    def build():
+        specs = [gr.generalized_tukey(2, n) for n in (1, 2, 3, 5)]
+        specs += [gr.mixture_gain(c) for c in CERTIFY_MIXTURES]
+        return [_bits(astuple(s.constants)) for s in specs]
+
+    got = build()
+    monkeypatch.setattr(gains, "grid_sup", _whole_grid_sup)
+    assert got == build()
